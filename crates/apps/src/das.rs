@@ -21,8 +21,7 @@ use rb_core::telemetry::counters;
 use rb_fronthaul::ether::EthernetAddress;
 use rb_fronthaul::msg::{Body, FhMessage};
 use rb_fronthaul::timing::Numerology;
-use rb_fronthaul::uplane::USection;
-use rb_fronthaul::Direction;
+use rb_fronthaul::{Direction, Error, Result};
 use rb_netsim::cost::{Work, XdpPlacement};
 
 /// Default [`Das::with_merge_window`] horizon in symbols.
@@ -107,45 +106,22 @@ impl Das {
     }
 
     /// Merge the cached uplink packets (one per RU) for one key into a
-    /// single packet towards the DU.
-    fn merge(&mut self, ctx: &mut MbContext<'_>, cached: Vec<FhMessage>) -> Option<FhMessage> {
-        let first = cached.first()?.clone();
-        let n_sections = first.as_uplane()?.sections.len();
-        let mut merged_sections = Vec::with_capacity(n_sections);
-        let mut total_prbs = 0usize;
-        for s_idx in 0..n_sections {
-            let sections: Vec<&USection> = cached
-                .iter()
-                .filter_map(|m| m.as_uplane().and_then(|u| u.sections.get(s_idx)))
-                .collect();
-            if sections.len() != cached.len() {
-                counters::bump(&mut self.stats.merge_errors);
-                return None;
-            }
-            match actions::sum_sections(&sections) {
-                Ok(s) => {
-                    total_prbs = total_prbs.saturating_add(usize::from(s.num_prb()));
-                    merged_sections.push(s);
-                }
-                Err(_) => {
-                    counters::bump(&mut self.stats.merge_errors);
-                    return None;
-                }
-            }
-        }
+    /// single packet towards the DU. The first cached packet becomes the
+    /// output and the others are summed into it in cached order; nothing
+    /// is emitted unless every packet is U-plane with the same sections.
+    fn merge(&mut self, ctx: &mut MbContext<'_>, mut cached: Vec<FhMessage>) -> Option<FhMessage> {
+        let streams = cached.len();
+        let (out, rest) = cached.split_first_mut()?;
+        let Ok(total_prbs) = sum_uplanes_into(out, rest) else {
+            counters::bump(&mut self.stats.merge_errors);
+            return None;
+        };
         // A4 heavy path: decompress + sum + recompress across all RUs.
-        ctx.charge(
-            Work::MergeIq { prbs: total_prbs, streams: cached.len() },
-            XdpPlacement::Userspace,
-        );
-        let mut out = first;
-        if let Some(up) = out.as_uplane_mut() {
-            up.sections = merged_sections;
-        }
-        actions::redirect(&mut out, self.cfg.mb_mac, self.cfg.du_mac);
+        ctx.charge(Work::MergeIq { prbs: total_prbs, streams }, XdpPlacement::Userspace);
+        actions::redirect(out, self.cfg.mb_mac, self.cfg.du_mac);
         counters::bump(&mut self.stats.ul_merges);
         ctx.telemetry.count(ctx.now_ns(), "ul_merges", 1);
-        Some(out)
+        Some(cached.swap_remove(0))
     }
 
     /// Merge every pending key of the current frame's eAxC stream whose
@@ -189,6 +165,24 @@ impl Das {
             }
         }
     }
+}
+
+/// Sum the sections of every message in `others` into the matching
+/// sections of `dst`, in place. Every message must be U-plane with as many
+/// sections as `dst` — a later RU carrying extra sections would otherwise
+/// have their IQ silently dropped. Returns the PRBs merged.
+fn sum_uplanes_into(dst: &mut FhMessage, others: &[FhMessage]) -> Result<usize> {
+    let dst = dst.as_uplane_mut().ok_or(Error::ShapeMismatch)?;
+    let n_sections = dst.sections.len();
+    if !others.iter().all(|m| m.as_uplane().is_some_and(|u| u.sections.len() == n_sections)) {
+        return Err(Error::ShapeMismatch);
+    }
+    let mut total_prbs = 0usize;
+    for (s_idx, section) in dst.sections.iter_mut().enumerate() {
+        actions::sum_sections_into(section, |k| others.get(k)?.as_uplane()?.sections.get(s_idx))?;
+        total_prbs = total_prbs.saturating_add(usize::from(section.num_prb()));
+    }
+    Ok(total_prbs)
 }
 
 impl Middlebox for Das {
@@ -275,7 +269,7 @@ mod tests {
     use rb_fronthaul::eaxc::{Eaxc, EaxcMapping};
     use rb_fronthaul::iq::{IqSample, Prb};
     use rb_fronthaul::timing::SymbolId;
-    use rb_fronthaul::uplane::UPlaneRepr;
+    use rb_fronthaul::uplane::{UPlaneRepr, USection};
     use rb_netsim::time::SimTime;
 
     fn mac(last: u8) -> EthernetAddress {
@@ -516,5 +510,48 @@ mod tests {
         let out = mb.handle(&mut ctx(&mut cache, &tel), odd);
         assert!(out.is_empty());
         assert_eq!(mb.stats.merge_errors, 1);
+    }
+
+    #[test]
+    fn extra_sections_from_a_later_ru_count_merge_error() {
+        // Regression: the merge walked the *first* RU's sections only, so
+        // a later RU's extra section was dropped without a trace.
+        let mut mb = das();
+        let mut cache = SymbolCache::new(64);
+        let tel = TelemetrySender::disconnected("t");
+        mb.handle(&mut ctx(&mut cache, &tel), ul_uplane(mac(21), 1, 0));
+        mb.handle(&mut ctx(&mut cache, &tel), ul_uplane(mac(22), 1, 0));
+        let mut wider = ul_uplane(mac(23), 1, 0);
+        if let Some(up) = wider.as_uplane_mut() {
+            let extra =
+                USection::from_prbs(1, 4, &[Prb::ZERO; 4], CompressionMethod::NoCompression);
+            up.sections.push(extra.unwrap());
+        }
+        let out = mb.handle(&mut ctx(&mut cache, &tel), wider);
+        assert!(out.is_empty(), "nothing is emitted rather than a truncated sum");
+        assert_eq!(mb.stats.merge_errors, 1);
+        assert_eq!(mb.stats.ul_merges, 0);
+    }
+
+    #[test]
+    fn non_uplane_cache_entry_counts_merge_error() {
+        // Regression: a cached message that is not U-plane made the merge
+        // return without counting anything.
+        let mut mb = das();
+        let mut cache = SymbolCache::new(64);
+        let tel = TelemetrySender::disconnected("t");
+        let key = CacheKey {
+            eaxc_raw: Eaxc::port(0).pack(&EaxcMapping::DEFAULT),
+            direction: Direction::Uplink,
+            plane: Plane::U,
+            filter: 0,
+            symbol: SymbolId::ZERO,
+        };
+        cache.insert(key, dl_cplane(mac(21), mac(10)));
+        mb.handle(&mut ctx(&mut cache, &tel), ul_uplane(mac(22), 1, 0));
+        let out = mb.handle(&mut ctx(&mut cache, &tel), ul_uplane(mac(23), 1, 0));
+        assert!(out.is_empty());
+        assert_eq!(mb.stats.merge_errors, 1);
+        assert!(cache.is_empty(), "the bad key is drained, not retried forever");
     }
 }

@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the fronthaul hot paths: BFP
-//! (de)compression, U-plane parse/emit, whole-frame round trips and the
-//! DAS IQ sum — the primitives behind the Figure 15b latencies.
+//! (de)compression, the in-place DAS uplink merge, U-plane parse/emit,
+//! whole-frame round trips and the bare IQ sum — the primitives behind
+//! the Figure 15b latencies.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -58,6 +59,25 @@ fn bench_bfp(c: &mut Criterion) {
             });
         });
     }
+    // The DAS uplink combine (Figure 15b's merge bar): four 273-PRB BFP9
+    // sections decompressed, summed and recompressed in place. The copy of
+    // the first section stands in for the cached message the merge consumes.
+    g.throughput(Throughput::Elements(4 * 273));
+    g.bench_with_input(BenchmarkId::new("merge_4x273prb", 9), &9u8, |b, &w| {
+        let method = CompressionMethod::BlockFloatingPoint { iq_width: w };
+        let sections: Vec<USection> = (0..4i16)
+            .map(|ru| {
+                let prbs: Vec<Prb> = (0..273).map(|k| tone(300 + ru * 41 + k * 5)).collect();
+                USection::from_prbs(0, 0, &prbs, method).unwrap()
+            })
+            .collect();
+        let mut dst = sections[0].clone();
+        b.iter(|| {
+            dst.payload.copy_from_slice(&sections[0].payload);
+            rb_core::actions::sum_sections_into(&mut dst, |k| sections.get(k + 1)).unwrap();
+            black_box(&dst);
+        });
+    });
     // Algorithm 1's fast path: exponent peek without decompression.
     g.bench_function("peek_exponents_273prb", |b| {
         let method = CompressionMethod::BFP9;

@@ -5,8 +5,9 @@
 //! their result as a list of messages to transmit — dropping a packet
 //! (part of A1) is simply not returning it.
 
+use rb_fronthaul::bfp::{self, CompressionMethod};
 use rb_fronthaul::ether::EthernetAddress;
-use rb_fronthaul::iq::Prb;
+use rb_fronthaul::iq::{PrbComponents, COMPONENTS_PER_PRB};
 use rb_fronthaul::msg::FhMessage;
 use rb_fronthaul::uplane::USection;
 use rb_fronthaul::{Error, Result};
@@ -39,31 +40,75 @@ pub fn replicate(
         .collect()
 }
 
+/// PRBs summed per pass of [`sum_sections_into`]: a 64 × 48 B = 3 KB stack
+/// accumulator, small enough to stay in L1 beside the wire bytes filling it.
+pub const SUM_BLOCK_PRBS: usize = 64;
+
 /// A4 — element-wise sum of the PRB payloads of several U-plane sections
-/// covering the same PRB range (the DAS uplink combine).
+/// covering the same PRB range (the DAS uplink combine), in place.
 ///
-/// Decompresses each source, sums per subcarrier with saturation, and
-/// recompresses with the method of the first section. All sections must
-/// have the same `start_prb` and PRB count.
-pub fn sum_sections(sections: &[&USection]) -> Result<USection> {
-    let first = sections.first().ok_or(Error::ShapeMismatch)?;
-    let n = usize::from(first.num_prb());
-    let mut acc: Vec<Prb> = vec![Prb::ZERO; n];
-    for s in sections {
-        if s.start_prb != first.start_prb || s.num_prb() != first.num_prb() {
+/// `dst` is the first term and receives the result; `other(k)` is the
+/// k-th further term, `None` past the last. Each section is decompressed
+/// with its own method, the components are summed per subcarrier with
+/// saturation — sequentially, `dst` first, then the others in order — and
+/// the sum is recompressed over `dst.payload` with `dst.method`. All
+/// sections must have the same `start_prb` and PRB count; on any mismatch
+/// `dst` is left untouched.
+///
+/// Nothing is allocated: each block of [`SUM_BLOCK_PRBS`] PRBs is
+/// decompress-accumulated from every source into a stack scratch, then
+/// recompressed in a second pass (packing a PRB straight after
+/// accumulating it stalls on the accumulator's stores).
+pub fn sum_sections_into<'a>(
+    dst: &mut USection,
+    other: impl Fn(usize) -> Option<&'a USection>,
+) -> Result<()> {
+    // Walked once to validate and once per block, so not a plain iterator.
+    let others = || (0usize..).map_while(&other);
+    dst.method.validate()?;
+    let num_prb = dst.num_prb();
+    for s in others() {
+        s.method.validate()?;
+        if s.start_prb != dst.start_prb || s.num_prb() != num_prb {
             return Err(Error::ShapeMismatch);
         }
-        for (slot, (prb, _exp)) in acc.iter_mut().zip(s.decode()?.into_iter()) {
-            slot.add_assign_saturating(&prb);
+    }
+    let per = dst.method.prb_wire_bytes();
+    // Drop a ragged tail so the result is exactly `num_prb` wire PRBs.
+    dst.payload.truncate(usize::from(num_prb).saturating_mul(per));
+    let mut scratch = [[0i16; COMPONENTS_PER_PRB]; SUM_BLOCK_PRBS];
+    let mut first_prb = 0u16;
+    for block in dst.payload.chunks_mut(SUM_BLOCK_PRBS.saturating_mul(per)) {
+        let count = u16::try_from(block.len() / per).unwrap_or(u16::MAX);
+        let acc = scratch.get_mut(..usize::from(count)).ok_or(Error::FieldRange)?;
+        acc.fill([0; COMPONENTS_PER_PRB]);
+        accumulate(acc, block, dst.method)?;
+        for s in others() {
+            accumulate(acc, s.prb_range_bytes(first_prb, count)?, s.method)?;
+        }
+        for (wire, sum) in block.chunks_exact_mut(per).zip(acc.iter()) {
+            bfp::pack_prb_wire(sum, dst.method, wire)?;
+        }
+        first_prb = first_prb.saturating_add(count);
+    }
+    Ok(())
+}
+
+/// Decompress consecutive wire PRBs and add them, saturating, into `acc`.
+fn accumulate(acc: &mut [PrbComponents], wire: &[u8], method: CompressionMethod) -> Result<()> {
+    for (sum, prb) in acc.iter_mut().zip(wire.chunks_exact(method.prb_wire_bytes())) {
+        let (v, _exp) = bfp::unpack_prb_wire(prb, method)?;
+        for (s, c) in sum.iter_mut().zip(v) {
+            *s = s.saturating_add(c);
         }
     }
-    USection::from_prbs(first.section_id, first.start_prb, &acc, first.method)
+    Ok(())
 }
 
 /// A4 — copy a PRB range between two sections that may use different
-/// compression or misaligned grids: decompress from `src`, recompress into
-/// `dst` (the RU-sharing *misaligned* path; see
-/// [`USection::copy_prbs_from`] for the aligned fast path).
+/// compression or misaligned grids: decompress `count` PRBs of `src`,
+/// recompress them straight into `dst` (the RU-sharing *misaligned* path;
+/// see [`USection::copy_prbs_from`] for the aligned fast path).
 pub fn recompress_copy(
     dst: &mut USection,
     src: &USection,
@@ -71,13 +116,14 @@ pub fn recompress_copy(
     dst_idx: u16,
     count: u16,
 ) -> Result<()> {
-    let decoded = src.decode()?;
-    let s = usize::from(src_idx);
-    // Saturation is caught by the `get` bounds check below.
-    let e = s.saturating_add(usize::from(count));
-    let range = decoded.get(s..e).ok_or(Error::FieldRange)?;
-    let prbs: Vec<Prb> = range.iter().map(|(p, _)| *p).collect();
-    dst.write_prbs(dst_idx, &prbs)
+    let from = src.prb_range_bytes(src_idx, count)?.chunks_exact(src.method.prb_wire_bytes());
+    let dst_method = dst.method;
+    let to = dst.prb_range_bytes_mut(dst_idx, count)?.chunks_exact_mut(dst_method.prb_wire_bytes());
+    for (from, to) in from.zip(to) {
+        let (v, _exp) = bfp::unpack_prb_wire(from, src.method)?;
+        bfp::pack_prb_wire(&v, dst_method, to)?;
+    }
+    Ok(())
 }
 
 /// A4 — copy PRBs between sections choosing the aligned fast path when the
@@ -99,10 +145,9 @@ pub fn copy_prbs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rb_fronthaul::bfp::CompressionMethod;
     use rb_fronthaul::cplane::{CPlaneRepr, SectionFields};
     use rb_fronthaul::eaxc::Eaxc;
-    use rb_fronthaul::iq::IqSample;
+    use rb_fronthaul::iq::{IqSample, Prb};
     use rb_fronthaul::msg::Body;
     use rb_fronthaul::timing::SymbolId;
     use rb_fronthaul::uplane::UPlaneRepr;
@@ -172,7 +217,8 @@ mod tests {
             .unwrap();
         let b = USection::from_prbs(0, 0, &[prb(10), prb(20)], CompressionMethod::NoCompression)
             .unwrap();
-        let sum = sum_sections(&[&a, &b]).unwrap();
+        let mut sum = a.clone();
+        sum_sections_into(&mut sum, |k| [&b].get(k).copied()).unwrap();
         let got = sum.decode().unwrap();
         let ea = a.decode().unwrap();
         let eb = b.decode().unwrap();
@@ -185,7 +231,8 @@ mod tests {
     fn sum_sections_bfp_within_tolerance() {
         let a = USection::from_prbs(0, 0, &[prb(1000)], CompressionMethod::BFP9).unwrap();
         let b = USection::from_prbs(0, 0, &[prb(-400)], CompressionMethod::BFP9).unwrap();
-        let sum = sum_sections(&[&a, &b]).unwrap();
+        let mut sum = a.clone();
+        sum_sections_into(&mut sum, |k| [&b].get(k).copied()).unwrap();
         let (got, exp) = sum.decode().unwrap()[0];
         let expect = a.decode().unwrap()[0].0.saturating_add(&b.decode().unwrap()[0].0);
         let tol = rb_fronthaul::bfp::max_quantization_error(exp) * 2;
@@ -195,13 +242,48 @@ mod tests {
     }
 
     #[test]
-    fn sum_sections_rejects_shape_mismatch() {
+    fn sum_saturates_sequentially_in_source_order() {
+        // +32767 +32767 −32768: saturating after every term gives −1; a
+        // wide sum clamped once at the end would give 32766.
+        let flat = |v: i16| {
+            let p = Prb([IqSample::new(v, v); 12]);
+            USection::from_prbs(0, 0, &[p], CompressionMethod::NoCompression).unwrap()
+        };
+        let (up, down) = (flat(i16::MAX), flat(i16::MIN));
+        let mut sum = flat(i16::MAX);
+        sum_sections_into(&mut sum, |k| [&up, &down].get(k).copied()).unwrap();
+        assert_eq!(sum, flat(-1));
+        // The same terms in another order saturate differently.
+        let mut sum = flat(i16::MAX);
+        sum_sections_into(&mut sum, |k| [&down, &up].get(k).copied()).unwrap();
+        assert_eq!(sum, flat(i16::MAX - 1));
+    }
+
+    #[test]
+    fn sum_sections_rejects_shape_mismatch_without_partial_output() {
         let a = USection::from_prbs(0, 0, &[prb(1), prb(2)], CompressionMethod::BFP9).unwrap();
-        let b = USection::from_prbs(0, 5, &[prb(1), prb(2)], CompressionMethod::BFP9).unwrap();
-        assert_eq!(sum_sections(&[&a, &b]).unwrap_err(), Error::ShapeMismatch);
-        let c = USection::from_prbs(0, 0, &[prb(1)], CompressionMethod::BFP9).unwrap();
-        assert_eq!(sum_sections(&[&a, &c]).unwrap_err(), Error::ShapeMismatch);
-        assert_eq!(sum_sections(&[]).unwrap_err(), Error::ShapeMismatch);
+        let ok = USection::from_prbs(0, 0, &[prb(3), prb(4)], CompressionMethod::BFP9).unwrap();
+        let shifted =
+            USection::from_prbs(0, 5, &[prb(1), prb(2)], CompressionMethod::BFP9).unwrap();
+        let short = USection::from_prbs(0, 0, &[prb(1)], CompressionMethod::BFP9).unwrap();
+        let bad_width = USection {
+            method: CompressionMethod::BlockFloatingPoint { iq_width: 17 },
+            ..ok.clone()
+        };
+        // The offender comes after a valid source: nothing may be summed
+        // before every shape is known to agree.
+        for bad in [&shifted, &short] {
+            let mut dst = a.clone();
+            let err = sum_sections_into(&mut dst, |k| [&ok, bad].get(k).copied()).unwrap_err();
+            assert_eq!(err, Error::ShapeMismatch);
+            assert_eq!(dst, a, "dst untouched");
+        }
+        let mut dst = a.clone();
+        assert_eq!(
+            sum_sections_into(&mut dst, |k| [&ok, &bad_width].get(k).copied()).unwrap_err(),
+            Error::BadIqWidth
+        );
+        assert_eq!(dst, a, "dst untouched");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property tests over the framework invariants: the symbol cache never
 //! exceeds its capacity and never loses messages it did not evict; the
 //! forwarding table is first-match-wins; replication preserves payloads;
-//! the pipeline survives arbitrarily mangled frames without emitting.
+//! the pipeline survives arbitrarily mangled frames without emitting; the
+//! in-place IQ sum equals a decode-everything reference.
 
 // Test code is exempt from the crate's panic-vector denies.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
@@ -16,8 +17,10 @@ use rb_fronthaul::bfp::CompressionMethod;
 use rb_fronthaul::cplane::{CPlaneRepr, SectionFields};
 use rb_fronthaul::eaxc::{Eaxc, EaxcMapping};
 use rb_fronthaul::ether::EthernetAddress;
+use rb_fronthaul::iq::{IqSample, Prb};
 use rb_fronthaul::msg::{Body, FhMessage};
 use rb_fronthaul::timing::SymbolId;
+use rb_fronthaul::uplane::USection;
 use rb_fronthaul::Direction;
 
 fn mac(last: u8) -> EthernetAddress {
@@ -49,8 +52,70 @@ fn key(eaxc: u16, sym: u8) -> CacheKey {
     }
 }
 
+/// Allocating reference for `actions::sum_sections_into`: decode every
+/// section whole, add PRB by PRB in order, build a fresh section with the
+/// first one's method.
+fn sum_sections_oracle(sections: &[USection]) -> USection {
+    let first = &sections[0];
+    let mut acc = vec![Prb::ZERO; usize::from(first.num_prb())];
+    for s in sections {
+        for (slot, (prb, _exp)) in acc.iter_mut().zip(s.decode().unwrap()) {
+            slot.add_assign_saturating(&prb);
+        }
+    }
+    USection::from_prbs(first.section_id, first.start_prb, &acc, first.method).unwrap()
+}
+
+fn arb_method() -> impl Strategy<Value = CompressionMethod> {
+    prop_oneof![
+        Just(CompressionMethod::NoCompression),
+        Just(CompressionMethod::BFP9),
+        (1u8..=16).prop_map(|w| CompressionMethod::BlockFloatingPoint { iq_width: w }),
+    ]
+}
+
+/// 1–5 sections over one PRB range, each with its own method and its own
+/// IQ. Sizes sit on both sides of the sum's block boundary, plus the
+/// paper's 273-PRB carrier. `quiet` shifts a source's samples down: 0 is
+/// full scale (sums saturate, so their order shows), 15 and up leave only
+/// 0 and −1 (every exponent in between is exercised).
+fn arb_sections() -> impl Strategy<Value = Vec<USection>> {
+    let b = actions::SUM_BLOCK_PRBS;
+    let sizes = prop_oneof![Just(1usize), Just(b - 1), Just(b), Just(b + 1), Just(273), 2..3 * b];
+    (sizes, 0u16..0x200, proptest::collection::vec((arb_method(), any::<u64>(), 0u32..24), 1..=5))
+        .prop_map(|(num_prb, start_prb, sources)| {
+            sources
+                .into_iter()
+                .map(|(method, seed, quiet)| {
+                    let mut x = seed | 1;
+                    let prbs: Vec<Prb> = (0..num_prb)
+                        .map(|_| {
+                            let mut prb = Prb::ZERO;
+                            for s in &mut prb.0 {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                let [i, q] = [x as i16, (x >> 16) as i16];
+                                *s = IqSample::new(i >> quiet.min(15), q >> quiet.min(15));
+                            }
+                            prb
+                        })
+                        .collect();
+                    USection::from_prbs(7, start_prb, &prbs, method).unwrap()
+                })
+                .collect()
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn in_place_sum_equals_the_allocating_oracle(sections in arb_sections()) {
+        let mut dst = sections[0].clone();
+        actions::sum_sections_into(&mut dst, |k| sections.get(k + 1)).unwrap();
+        prop_assert_eq!(dst, sum_sections_oracle(&sections));
+    }
 
     #[test]
     fn cache_respects_capacity_and_accounts_evictions(

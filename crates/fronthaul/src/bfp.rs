@@ -14,7 +14,10 @@
 //! paper's deployments use 9) and `NoCompression` (16-bit passthrough, no
 //! `udCompParam` byte).
 
-use crate::iq::{Prb, SAMPLES_PER_PRB, UNCOMPRESSED_PRB_BYTES};
+use crate::iq::{
+    read_components_be, write_components_be, Prb, PrbComponents, COMPONENTS_PER_PRB,
+    SAMPLES_PER_PRB, UNCOMPRESSED_PRB_BYTES,
+};
 use crate::{Error, Result};
 
 /// Compression method identifiers (`udCompMeth` wire values).
@@ -115,222 +118,172 @@ impl CompressionMethod {
     }
 }
 
+/// Smallest exponent such that every component, shifted right by it,
+/// fits a signed `width`-bit mantissa (`width` in `1..=16`).
+///
+/// `c ^ (c >> 15)` folds a negative component onto the non-negative value
+/// with the same magnitude bits, so one OR over the PRB finds its highest
+/// set bit; a component of `b` magnitude bits needs `b − (width − 1)`
+/// dropped to leave room for the sign bit.
+fn exponent_of(v: &PrbComponents, width: u8) -> u8 {
+    let folded = v.iter().fold(0i16, |acc, &c| acc | (c ^ c.wrapping_shr(15)));
+    // `folded` is non-negative (bit 15 clear): 1..=16 leading zeros.
+    let magnitude_bits = 16u32.saturating_sub(folded.leading_zeros());
+    let spare_bits = u32::from(width).saturating_sub(1);
+    u8::try_from(magnitude_bits.saturating_sub(spare_bits)).unwrap_or(0)
+}
+
+/// Pack kernel for one mantissa width `W` (`1..=16`): 24 mantissas of
+/// `W` bits are three groups of eight, and eight mantissas are exactly
+/// `W` whole bytes, so each group is assembled MSB-first in a `u128`
+/// and its `W` bytes stored at once. `out` holds `3 × W` bytes. Returns
+/// the exponent.
+fn pack_mantissas<const W: u8>(v: &PrbComponents, out: &mut [u8]) -> u8 {
+    let exp = exponent_of(v, W);
+    let mask = 1u32.wrapping_shl(u32::from(W)).wrapping_sub(1);
+    // Left-align the 8 × W packed bits so they are the first W bytes.
+    let align = 128u32.saturating_sub(u32::from(W).saturating_mul(8));
+    for (bytes, group) in out.chunks_exact_mut(usize::from(W)).zip(v.chunks_exact(8)) {
+        let packed = group.iter().fold(0u128, |acc, &c| {
+            let shifted = i32::from(c).wrapping_shr(u32::from(exp));
+            acc.wrapping_shl(u32::from(W))
+                | u128::from(u32::from_ne_bytes(shifted.to_ne_bytes()) & mask)
+        });
+        if let Some(src) = packed.wrapping_shl(align).to_be_bytes().get(..usize::from(W)) {
+            bytes.copy_from_slice(src);
+        }
+    }
+    exp
+}
+
+/// Unpack kernel for one mantissa width `W` (`1..=16`), the inverse of
+/// [`pack_mantissas`]: each group's `W` bytes are loaded left-aligned
+/// into a `u128`, whose top 32 bits then carry the next mantissa in
+/// their high `W` bits — an arithmetic shift sign-extends it.
+fn unpack_mantissas<const W: u8>(data: &[u8], exponent: u8) -> PrbComponents {
+    let mut v = [0i16; COMPONENTS_PER_PRB];
+    let sign_extend = 32u32.saturating_sub(u32::from(W));
+    for (bytes, group) in data.chunks_exact(usize::from(W)).zip(v.chunks_exact_mut(8)) {
+        let mut buf = [0u8; 16];
+        if let Some(dst) = buf.get_mut(..usize::from(W)) {
+            dst.copy_from_slice(bytes);
+        }
+        let mut bits = u128::from_be_bytes(buf);
+        for c in group {
+            let top = u32::try_from(bits.wrapping_shr(96)).unwrap_or(0);
+            let mantissa = i32::from_ne_bytes(top.to_ne_bytes()).wrapping_shr(sign_extend);
+            // Exponents beyond 15 only arrive from corrupt wire input; an
+            // i32 shift wraps the amount modulo 32 and the clamp pins
+            // whatever comes out (the conversion cannot fail after it).
+            let value = mantissa.wrapping_shl(u32::from(exponent));
+            *c = i16::try_from(value.clamp(i32::from(i16::MIN), i32::from(i16::MAX))).unwrap_or(0);
+            bits = bits.wrapping_shl(u32::from(W));
+        }
+    }
+    v
+}
+
+/// Call the kernel instance for a runtime width. Callers validate the
+/// width first; the last arm only catches 16.
+macro_rules! kernel_for_width {
+    ($width:expr, $kernel:ident($($arg:expr),*)) => {
+        match $width {
+            1 => $kernel::<1>($($arg),*),
+            2 => $kernel::<2>($($arg),*),
+            3 => $kernel::<3>($($arg),*),
+            4 => $kernel::<4>($($arg),*),
+            5 => $kernel::<5>($($arg),*),
+            6 => $kernel::<6>($($arg),*),
+            7 => $kernel::<7>($($arg),*),
+            8 => $kernel::<8>($($arg),*),
+            9 => $kernel::<9>($($arg),*),
+            10 => $kernel::<10>($($arg),*),
+            11 => $kernel::<11>($($arg),*),
+            12 => $kernel::<12>($($arg),*),
+            13 => $kernel::<13>($($arg),*),
+            14 => $kernel::<14>($($arg),*),
+            15 => $kernel::<15>($($arg),*),
+            _ => $kernel::<16>($($arg),*),
+        }
+    };
+}
+
+/// Encode one PRB's components onto the wire with `method`, including
+/// the leading `udCompParam` exponent byte when the method has one — the
+/// form every compressing caller shares. Returns the bytes written.
+pub fn pack_prb_wire(
+    v: &PrbComponents,
+    method: CompressionMethod,
+    out: &mut [u8],
+) -> Result<usize> {
+    method.validate()?;
+    let total = method.prb_wire_bytes();
+    let out = out.get_mut(..total).ok_or(Error::BufferTooSmall)?;
+    match method {
+        CompressionMethod::NoCompression => write_components_be(v, out)?,
+        CompressionMethod::BlockFloatingPoint { iq_width } => {
+            let (param, mantissas) = out.split_first_mut().ok_or(Error::BufferTooSmall)?;
+            *param = kernel_for_width!(iq_width, pack_mantissas(v, mantissas)) & 0x0f;
+        }
+    }
+    Ok(total)
+}
+
+/// Decode one wire PRB (including `udCompParam` when the method has one)
+/// into its components and exponent (0 for no compression) — the form
+/// every decompressing caller shares.
+pub fn unpack_prb_wire(data: &[u8], method: CompressionMethod) -> Result<(PrbComponents, u8)> {
+    method.validate()?;
+    let data = data.get(..method.prb_wire_bytes()).ok_or(Error::Truncated)?;
+    match method {
+        CompressionMethod::NoCompression => Ok((read_components_be(data)?, 0)),
+        CompressionMethod::BlockFloatingPoint { iq_width } => {
+            let (param, mantissas) = data.split_first().ok_or(Error::Truncated)?;
+            let exp = *param & 0x0f;
+            Ok((kernel_for_width!(iq_width, unpack_mantissas(mantissas, exp)), exp))
+        }
+    }
+}
+
 /// Pick the smallest exponent such that every component of `prb`, shifted
 /// right by it, fits in a signed `width`-bit mantissa.
 ///
-/// Rejects widths outside `1..=16` in release builds too: `width = 0`
-/// would otherwise wrap `width - 1` and produce garbage limits.
+/// Rejects widths outside `1..=16` in release builds too.
 pub fn exponent_for(prb: &Prb, width: u8) -> Result<u8> {
-    if !(1..=16).contains(&width) {
-        return Err(Error::BadIqWidth);
-    }
-    // `width` is in `1..=16` here, so the shift is in range, the shifted
-    // value is ≥ 1, and the limits are the usual two's-complement pair.
-    let limit_pos = 1i32.wrapping_shl(u32::from(width.wrapping_sub(1))).wrapping_sub(1);
-    let limit_neg = limit_pos.wrapping_neg().wrapping_sub(1);
-    for exp in 0u8..16 {
-        let fits = prb.0.iter().all(|s| {
-            let i = i32::from(s.i).wrapping_shr(u32::from(exp));
-            let q = i32::from(s.q).wrapping_shr(u32::from(exp));
-            i >= limit_neg && i <= limit_pos && q >= limit_neg && q <= limit_pos
-        });
-        if fits {
-            return Ok(exp);
-        }
-    }
-    Ok(15)
-}
-
-/// Arithmetic-shift `v` by `exp` and reinterpret the low bits as the
-/// raw mantissa pattern (the caller masks to `width` bits, dropping the
-/// sign-extended high bits).
-fn shift_to_raw(v: i16, exp: u8) -> u32 {
-    let shifted = i32::from(v).wrapping_shr(u32::from(exp));
-    u32::from_ne_bytes(shifted.to_ne_bytes())
-}
-
-/// Clamp a reconstructed component back into i16 range (the conversion
-/// cannot fail after the clamp).
-fn clamp_i16(v: i32) -> i16 {
-    i16::try_from(v.clamp(i32::from(i16::MIN), i32::from(i16::MAX))).unwrap_or(0)
-}
-
-/// MSB-first bit packer used for mantissa serialization. Accumulates
-/// into a 64-bit buffer and spills whole bytes — the datapath hot loop.
-struct BitWriter<'a> {
-    out: &'a mut [u8],
-    byte: usize,
-    acc: u64,
-    acc_bits: u8,
-}
-
-impl<'a> BitWriter<'a> {
-    fn new(out: &'a mut [u8]) -> BitWriter<'a> {
-        BitWriter { out, byte: 0, acc: 0, acc_bits: 0 }
-    }
-
-    #[inline]
-    fn write(&mut self, value: u32, bits: u8) {
-        // `bits` ≤ 16 for every caller (IQ widths), so the accumulator
-        // holds < 24 live bits after the spill loop: no shift here can go
-        // out of range and the bit count cannot wrap.
-        let mask =
-            if bits >= 32 { u32::MAX } else { 1u32.wrapping_shl(u32::from(bits)).wrapping_sub(1) };
-        self.acc = self.acc.wrapping_shl(u32::from(bits)) | u64::from(value & mask);
-        self.acc_bits = self.acc_bits.wrapping_add(bits);
-        while self.acc_bits >= 8 {
-            self.acc_bits = self.acc_bits.wrapping_sub(8);
-            // Total: bytes past the (caller length-checked) buffer are dropped.
-            if let Some(b) = self.out.get_mut(self.byte) {
-                let spill = self.acc.wrapping_shr(u32::from(self.acc_bits)) & 0xff;
-                *b = u8::try_from(spill).unwrap_or(0);
-            }
-            self.byte = self.byte.wrapping_add(1);
-        }
-    }
-
-    /// Flush a trailing partial byte, MSB-aligned.
-    fn finish(self) {
-        if self.acc_bits > 0 {
-            if let Some(b) = self.out.get_mut(self.byte) {
-                // `acc_bits` is in `1..8` here (the write loop spills
-                // whole bytes), so the pad shift is in range.
-                let pad = u32::from(8u8.wrapping_sub(self.acc_bits));
-                *b = u8::try_from(self.acc.wrapping_shl(pad) & 0xff).unwrap_or(0);
-            }
-        }
-    }
-}
-
-/// MSB-first bit reader matching [`BitWriter`].
-struct BitReader<'a> {
-    data: &'a [u8],
-    byte: usize,
-    acc: u64,
-    acc_bits: u8,
-}
-
-impl<'a> BitReader<'a> {
-    fn new(data: &'a [u8]) -> BitReader<'a> {
-        BitReader { data, byte: 0, acc: 0, acc_bits: 0 }
-    }
-
-    #[inline]
-    fn read(&mut self, bits: u8) -> u32 {
-        // `bits` ≤ 16 for every caller, so the refill loop tops out below
-        // 32 live bits and the masked value always fits a u32.
-        while self.acc_bits < bits {
-            // Total: reads past the (caller length-checked) buffer yield 0.
-            self.acc = self.acc.wrapping_shl(8)
-                | u64::from(self.data.get(self.byte).copied().unwrap_or(0));
-            self.byte = self.byte.wrapping_add(1);
-            self.acc_bits = self.acc_bits.wrapping_add(8);
-        }
-        self.acc_bits = self.acc_bits.wrapping_sub(bits);
-        let mask =
-            if bits >= 64 { u64::MAX } else { 1u64.wrapping_shl(u32::from(bits)).wrapping_sub(1) };
-        u32::try_from(self.acc.wrapping_shr(u32::from(self.acc_bits)) & mask).unwrap_or(u32::MAX)
-    }
+    CompressionMethod::BlockFloatingPoint { iq_width: width }.validate()?;
+    Ok(exponent_of(&prb.components(), width))
 }
 
 /// Compress one PRB with BFP: returns the exponent and writes
 /// [`CompressionMethod::mantissa_bytes`] packed bytes into `out`.
 pub fn compress_prb(prb: &Prb, width: u8, out: &mut [u8]) -> Result<u8> {
-    if !(1..=16).contains(&width) {
-        return Err(Error::BadIqWidth);
-    }
     let method = CompressionMethod::BlockFloatingPoint { iq_width: width };
-    if out.len() < method.mantissa_bytes() {
-        return Err(Error::BufferTooSmall);
-    }
-    let exp = exponent_for(prb, width)?;
-    // `width` is in `1..=16` here: shift in range, shifted value ≥ 2.
-    let mask = 1u32.wrapping_shl(u32::from(width)).wrapping_sub(1);
-    let mut writer = BitWriter::new(out);
-    for s in prb.0.iter() {
-        let i = shift_to_raw(s.i, exp) & mask;
-        let q = shift_to_raw(s.q, exp) & mask;
-        writer.write(i, width);
-        writer.write(q, width);
-    }
-    writer.finish();
-    Ok(exp)
+    method.validate()?;
+    let out = out.get_mut(..method.mantissa_bytes()).ok_or(Error::BufferTooSmall)?;
+    Ok(kernel_for_width!(width, pack_mantissas(&prb.components(), out)))
 }
 
 /// Decompress one PRB: `data` must hold the packed mantissas (not the
 /// `udCompParam` byte — pass the exponent separately).
 pub fn decompress_prb(data: &[u8], width: u8, exponent: u8) -> Result<Prb> {
-    if !(1..=16).contains(&width) {
-        return Err(Error::BadIqWidth);
-    }
     let method = CompressionMethod::BlockFloatingPoint { iq_width: width };
-    if data.len() < method.mantissa_bytes() {
-        return Err(Error::Truncated);
-    }
-    let mut reader = BitReader::new(data);
-    let mut prb = Prb::ZERO;
-    // `width` is in `1..=16` here, so both shifts are in range.
-    let sign_bit = 1u32.wrapping_shl(u32::from(width.wrapping_sub(1)));
-    let high_ones = u32::MAX.wrapping_shl(u32::from(width));
-    let extend = |raw: u32| -> i32 {
-        let pattern = if raw & sign_bit != 0 { raw | high_ones } else { raw };
-        i32::from_ne_bytes(pattern.to_ne_bytes())
-    };
-    for s in prb.0.iter_mut() {
-        // Exponents beyond 31 only arrive from corrupt wire input; the
-        // wrapped shift produces a value the clamp below pins anyway.
-        let i = extend(reader.read(width)).wrapping_shl(u32::from(exponent));
-        let q = extend(reader.read(width)).wrapping_shl(u32::from(exponent));
-        s.i = clamp_i16(i);
-        s.q = clamp_i16(q);
-    }
-    Ok(prb)
+    method.validate()?;
+    let data = data.get(..method.mantissa_bytes()).ok_or(Error::Truncated)?;
+    Ok(Prb::from_components(&kernel_for_width!(width, unpack_mantissas(data, exponent))))
 }
 
 /// Compress a PRB onto the wire including the leading `udCompParam`
 /// exponent byte. Returns the number of bytes written.
 pub fn compress_prb_wire(prb: &Prb, method: CompressionMethod, out: &mut [u8]) -> Result<usize> {
-    method.validate()?;
-    let total = method.prb_wire_bytes();
-    if out.len() < total {
-        return Err(Error::BufferTooSmall);
-    }
-    match method {
-        CompressionMethod::NoCompression => {
-            prb.write_uncompressed(out)?;
-        }
-        CompressionMethod::BlockFloatingPoint { iq_width } => {
-            let mantissas = out.get_mut(1..total).ok_or(Error::BufferTooSmall)?;
-            let exp = compress_prb(prb, iq_width, mantissas)?;
-            if let Some(b) = out.first_mut() {
-                *b = exp & 0x0f;
-            }
-        }
-    }
-    Ok(total)
+    pack_prb_wire(&prb.components(), method, out)
 }
 
 /// Parse one PRB from the wire (including `udCompParam` when present).
 /// Returns the PRB, the exponent (0 for no compression) and the number of
 /// bytes consumed.
 pub fn decompress_prb_wire(data: &[u8], method: CompressionMethod) -> Result<(Prb, u8, usize)> {
-    method.validate()?;
-    let total = method.prb_wire_bytes();
-    if data.len() < total {
-        return Err(Error::Truncated);
-    }
-    match method {
-        CompressionMethod::NoCompression => {
-            let prb = Prb::read_uncompressed(data)?;
-            Ok((prb, 0, total))
-        }
-        CompressionMethod::BlockFloatingPoint { iq_width } => {
-            let exp = data.first().copied().unwrap_or(0) & 0x0f;
-            let mantissas = data.get(1..total).ok_or(Error::Truncated)?;
-            let prb = decompress_prb(mantissas, iq_width, exp)?;
-            Ok((prb, exp, total))
-        }
-    }
+    let (v, exp) = unpack_prb_wire(data, method)?;
+    Ok((Prb::from_components(&v), exp, method.prb_wire_bytes()))
 }
 
 /// Read just the `udCompParam` exponent of a wire PRB without touching the
@@ -345,10 +298,18 @@ pub fn peek_exponent(data: &[u8], method: CompressionMethod) -> Result<u8> {
     }
 }
 
-/// Maximum absolute quantization error of one BFP round trip at `exponent`.
+/// Maximum absolute quantization error of one BFP round trip at
+/// `exponent`: `2^exponent − 1`, pinned at `i32::MAX` (which it equals at
+/// 31) for the exponents only corrupt input carries.
 pub fn max_quantization_error(exponent: u8) -> i32 {
-    (1i32 << exponent) - 1
+    i32::MAX.wrapping_shr(31u32.saturating_sub(u32::from(exponent)))
 }
+
+/// Bit-at-a-time reference codec: the kernels' bit-exactness oracle,
+/// shared with `tests/proptests.rs`.
+#[cfg(test)]
+#[path = "../tests/support/bfp_reference.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -486,6 +447,48 @@ mod tests {
         assert_eq!(exponent_for(&Prb::ZERO, u8::MAX).unwrap_err(), Error::BadIqWidth);
         for w in 1..=16u8 {
             assert!(exponent_for(&Prb::ZERO, w).is_ok());
+        }
+    }
+
+    #[test]
+    fn kernels_match_reference_at_the_extremes() {
+        // Saturated, alternating and sign-boundary PRBs: where the folded
+        // exponent and the sign extension are easiest to get wrong.
+        let mut cases: Vec<PrbComponents> = vec![[i16::MIN; 24], [i16::MAX; 24], [-1; 24], [0; 24]];
+        let mut alternating = [i16::MIN; 24];
+        alternating.iter_mut().step_by(2).for_each(|c| *c = i16::MAX);
+        cases.push(alternating);
+        for bit in 0..15 {
+            let mut v = [0i16; 24];
+            v[7] = 1 << bit;
+            v[16] = -(1 << bit) - 1;
+            cases.push(v);
+        }
+        for v in &cases {
+            let prb = Prb::from_components(v);
+            for width in 1..=16u8 {
+                let n = 3 * usize::from(width);
+                let (mut got, mut want) = ([0xa5u8; 48], [0xa5u8; 48]);
+                let exp = compress_prb(&prb, width, &mut got).unwrap();
+                assert_eq!(exp, reference::compress(v, width, &mut want[..n]), "w={width}");
+                assert_eq!(got, want, "w={width} v={v:?}");
+                assert_eq!(exponent_for(&prb, width).unwrap(), reference::exponent_for(v, width));
+                // Every u8 exponent, including the ones only corrupt
+                // input carries.
+                for exponent in 0..=u8::MAX {
+                    let back = decompress_prb(&got, width, exponent).unwrap();
+                    let oracle = reference::decompress(&got[..n], width, exponent);
+                    assert_eq!(back.components(), oracle, "w={width} e={exponent}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn max_quantization_error_is_total() {
+        for exponent in 0..=u8::MAX {
+            let want = (1i64 << exponent.min(31)) - 1;
+            assert_eq!(i64::from(max_quantization_error(exponent)), want, "e={exponent}");
         }
     }
 

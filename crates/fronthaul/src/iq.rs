@@ -10,26 +10,38 @@
 
 use crate::{Error, Result};
 
-/// Read a big-endian i16 at `off`, or 0 if the slice is too short.
-fn read_i16(d: &[u8], off: usize) -> i16 {
-    d.get(off..off.saturating_add(2))
-        .and_then(|s| <[u8; 2]>::try_from(s).ok())
-        .map_or(0, i16::from_be_bytes)
-}
-
-/// Copy `src` to `off`; a no-op if the slice is too short (callers
-/// length-check up front).
-fn write_at(d: &mut [u8], off: usize, src: &[u8]) {
-    if let Some(s) = d.get_mut(off..off.saturating_add(src.len())) {
-        s.copy_from_slice(src);
-    }
-}
-
 /// Number of subcarriers (and therefore IQ samples) in one PRB.
 pub const SAMPLES_PER_PRB: usize = 12;
 
+/// Number of I/Q components in one PRB (12 samples × I and Q).
+pub const COMPONENTS_PER_PRB: usize = SAMPLES_PER_PRB * 2;
+
 /// Size in bytes of one uncompressed PRB (12 samples × 2 × 16 bits).
 pub const UNCOMPRESSED_PRB_BYTES: usize = SAMPLES_PER_PRB * 4;
+
+/// One PRB as a flat array in wire order (I0, Q0, I1, Q1, …): the form
+/// the [`crate::bfp`] kernels and the DAS uplink sum work on.
+pub type PrbComponents = [i16; COMPONENTS_PER_PRB];
+
+/// Serialize components as 16-bit big-endian values — the uncompressed
+/// PRB wire format.
+pub fn write_components_be(v: &PrbComponents, out: &mut [u8]) -> Result<()> {
+    let out = out.get_mut(..UNCOMPRESSED_PRB_BYTES).ok_or(Error::BufferTooSmall)?;
+    for (pair, c) in out.chunks_exact_mut(2).zip(v.iter()) {
+        pair.copy_from_slice(&c.to_be_bytes());
+    }
+    Ok(())
+}
+
+/// Parse components from 16-bit big-endian values.
+pub fn read_components_be(data: &[u8]) -> Result<PrbComponents> {
+    let data = data.get(..UNCOMPRESSED_PRB_BYTES).ok_or(Error::Truncated)?;
+    let mut v = [0i16; COMPONENTS_PER_PRB];
+    for (pair, c) in data.chunks_exact(2).zip(v.iter_mut()) {
+        *c = <[u8; 2]>::try_from(pair).map_or(0, i16::from_be_bytes);
+    }
+    Ok(v)
+}
 
 /// One complex baseband sample in 16-bit fixed point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
@@ -127,27 +139,32 @@ impl Prb {
     /// Serialize to uncompressed big-endian wire bytes (I then Q, 16 bits
     /// each, per subcarrier).
     pub fn write_uncompressed(&self, out: &mut [u8]) -> Result<()> {
-        if out.len() < UNCOMPRESSED_PRB_BYTES {
-            return Err(Error::BufferTooSmall);
-        }
-        for (chunk, s) in out.chunks_exact_mut(4).zip(self.0.iter()) {
-            write_at(chunk, 0, &s.i.to_be_bytes());
-            write_at(chunk, 2, &s.q.to_be_bytes());
-        }
-        Ok(())
+        write_components_be(&self.components(), out)
     }
 
     /// Parse from uncompressed big-endian wire bytes.
     pub fn read_uncompressed(data: &[u8]) -> Result<Prb> {
-        if data.len() < UNCOMPRESSED_PRB_BYTES {
-            return Err(Error::Truncated);
+        read_components_be(data).map(|v| Prb::from_components(&v))
+    }
+
+    /// The 24 components in wire order (I0, Q0, I1, Q1, …).
+    pub fn components(&self) -> PrbComponents {
+        let mut v = [0i16; COMPONENTS_PER_PRB];
+        for (pair, s) in v.chunks_exact_mut(2).zip(self.0.iter()) {
+            pair.copy_from_slice(&[s.i, s.q]);
         }
+        v
+    }
+
+    /// Rebuild a PRB from its components in wire order.
+    pub fn from_components(v: &PrbComponents) -> Prb {
         let mut prb = Prb::ZERO;
-        for (chunk, s) in data.chunks_exact(4).zip(prb.0.iter_mut()) {
-            s.i = read_i16(chunk, 0);
-            s.q = read_i16(chunk, 2);
+        for (pair, s) in v.chunks_exact(2).zip(prb.0.iter_mut()) {
+            if let [i, q] = *pair {
+                *s = IqSample::new(i, q);
+            }
         }
-        Ok(prb)
+        prb
     }
 }
 
@@ -238,6 +255,14 @@ mod tests {
         let mut buf = [0u8; UNCOMPRESSED_PRB_BYTES];
         prb.write_uncompressed(&mut buf).unwrap();
         assert_eq!(Prb::read_uncompressed(&buf).unwrap(), prb);
+    }
+
+    #[test]
+    fn components_are_wire_order_and_roundtrip() {
+        let prb = ramp_prb();
+        let v = prb.components();
+        assert_eq!((v[0], v[1], v[2], v[23]), (prb.0[0].i, prb.0[0].q, prb.0[1].i, prb.0[11].q));
+        assert_eq!(Prb::from_components(&v), prb);
     }
 
     #[test]

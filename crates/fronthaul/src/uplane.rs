@@ -99,17 +99,31 @@ impl USection {
 
     /// The raw wire bytes of PRB `idx` within this section.
     pub fn prb_bytes(&self, idx: u16) -> Result<&[u8]> {
-        let per = self.method.prb_wire_bytes();
-        // Saturation lands past the payload end and fails the range check.
-        let start = usize::from(idx).saturating_mul(per);
-        self.payload.get(start..start.saturating_add(per)).ok_or(Error::FieldRange)
+        self.prb_range_bytes(idx, 1)
     }
 
     /// Mutable raw wire bytes of PRB `idx`.
     pub fn prb_bytes_mut(&mut self, idx: u16) -> Result<&mut [u8]> {
+        self.prb_range_bytes_mut(idx, 1)
+    }
+
+    /// Byte range of `count` PRBs starting at local index `idx`.
+    fn prb_range(&self, idx: u16, count: u16) -> std::ops::Range<usize> {
         let per = self.method.prb_wire_bytes();
+        // Saturation lands past the payload end and fails the range check.
         let start = usize::from(idx).saturating_mul(per);
-        self.payload.get_mut(start..start.saturating_add(per)).ok_or(Error::FieldRange)
+        start..start.saturating_add(usize::from(count).saturating_mul(per))
+    }
+
+    /// The raw wire bytes of `count` PRBs starting at local index `idx`.
+    pub fn prb_range_bytes(&self, idx: u16, count: u16) -> Result<&[u8]> {
+        self.payload.get(self.prb_range(idx, count)).ok_or(Error::FieldRange)
+    }
+
+    /// Mutable raw wire bytes of `count` PRBs starting at `idx`.
+    pub fn prb_range_bytes_mut(&mut self, idx: u16, count: u16) -> Result<&mut [u8]> {
+        let range = self.prb_range(idx, count);
+        self.payload.get_mut(range).ok_or(Error::FieldRange)
     }
 
     /// Decode every PRB (decompressing as needed) together with its
@@ -134,13 +148,11 @@ impl USection {
     /// Overwrite the PRBs starting at local index `at` with freshly
     /// compressed `prbs` — the payload-modification primitive (action A4).
     pub fn write_prbs(&mut self, at: u16, prbs: &[Prb]) -> Result<()> {
-        let per = self.method.prb_wire_bytes();
-        // Saturation lands past the payload end and fails the range check.
-        let start = usize::from(at).saturating_mul(per);
-        let end = start.saturating_add(prbs.len().saturating_mul(per));
-        let dst = self.payload.get_mut(start..end).ok_or(Error::FieldRange)?;
-        for (chunk, prb) in dst.chunks_exact_mut(per).zip(prbs.iter()) {
-            bfp::compress_prb_wire(prb, self.method, chunk)?;
+        let method = self.method;
+        let count = u16::try_from(prbs.len()).map_err(|_| Error::FieldRange)?;
+        let dst = self.prb_range_bytes_mut(at, count)?;
+        for (chunk, prb) in dst.chunks_exact_mut(method.prb_wire_bytes()).zip(prbs.iter()) {
+            bfp::compress_prb_wire(prb, method, chunk)?;
         }
         Ok(())
     }
@@ -161,14 +173,8 @@ impl USection {
         if self.method != src.method {
             return Err(Error::ShapeMismatch);
         }
-        let per = self.method.prb_wire_bytes();
-        // Saturation lands past either payload end and fails a range check.
-        let s = usize::from(src_idx).saturating_mul(per);
-        let d = usize::from(dst_idx).saturating_mul(per);
-        let len = usize::from(count).saturating_mul(per);
-        let src_bytes = src.payload.get(s..s.saturating_add(len)).ok_or(Error::FieldRange)?;
-        let dst_bytes = self.payload.get_mut(d..d.saturating_add(len)).ok_or(Error::FieldRange)?;
-        dst_bytes.copy_from_slice(src_bytes);
+        let src_bytes = src.prb_range_bytes(src_idx, count)?;
+        self.prb_range_bytes_mut(dst_idx, count)?.copy_from_slice(src_bytes);
         Ok(())
     }
 

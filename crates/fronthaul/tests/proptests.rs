@@ -16,6 +16,22 @@ use rb_fronthaul::timing::SymbolId;
 use rb_fronthaul::uplane::{UPlaneRepr, USection};
 use rb_fronthaul::Direction;
 
+/// Bit-at-a-time reference codec (shared with the unit tests in
+/// `src/bfp.rs`): the kernels' bit-exactness oracle.
+#[path = "support/bfp_reference.rs"]
+mod reference;
+
+/// Arbitrary PRBs, with the saturated ones (all-`MIN`, all-`MAX`) that
+/// uniform draws would never produce mixed in.
+fn arb_prb_or_extreme() -> impl Strategy<Value = Prb> {
+    prop_oneof![
+        arb_prb(),
+        arb_prb(),
+        Just(Prb([IqSample::new(i16::MIN, i16::MIN); SAMPLES_PER_PRB])),
+        Just(Prb([IqSample::new(i16::MAX, i16::MAX); SAMPLES_PER_PRB])),
+    ]
+}
+
 fn arb_prb() -> impl Strategy<Value = Prb> {
     proptest::collection::vec(any::<(i16, i16)>(), SAMPLES_PER_PRB).prop_map(|v| {
         let mut prb = Prb::ZERO;
@@ -85,6 +101,48 @@ proptest! {
             prop_assert!((prb.0[k].i as i32 - back.0[k].i as i32).abs() <= tol);
             prop_assert!((prb.0[k].q as i32 - back.0[k].q as i32).abs() <= tol);
         }
+    }
+
+    #[test]
+    fn kernel_compress_matches_reference(prb in arb_prb_or_extreme(), width in 1u8..=16, shift in 0u8..16) {
+        // Arithmetic-shift the draw so every exponent (not just the high
+        // ones full-scale samples need) is exercised.
+        let v = prb.components().map(|c| c >> shift);
+        let prb = Prb::from_components(&v);
+        let n = 3 * usize::from(width);
+        let mut got = vec![0x5au8; n];
+        let mut want = vec![0x5au8; n];
+        let exp = bfp::compress_prb(&prb, width, &mut got).unwrap();
+        prop_assert_eq!(exp, reference::compress(&v, width, &mut want));
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(bfp::exponent_for(&prb, width).unwrap(), reference::exponent_for(&v, width));
+    }
+
+    #[test]
+    fn kernel_decompress_matches_reference(
+        data in proptest::collection::vec(any::<u8>(), 48),
+        width in 1u8..=16,
+        exponent in any::<u8>(),
+    ) {
+        // Arbitrary mantissa bytes and any u8 exponent, not only the 4-bit
+        // ones a well-formed udCompParam carries.
+        let got = bfp::decompress_prb(&data, width, exponent).unwrap();
+        let n = 3 * usize::from(width);
+        prop_assert_eq!(got.components(), reference::decompress(&data[..n], width, exponent));
+    }
+
+    #[test]
+    fn wire_codec_matches_reference(prb in arb_prb_or_extreme(), width in 1u8..=16) {
+        let method = CompressionMethod::BlockFloatingPoint { iq_width: width };
+        let per = method.prb_wire_bytes();
+        let mut wire = vec![0u8; per];
+        prop_assert_eq!(bfp::compress_prb_wire(&prb, method, &mut wire).unwrap(), per);
+        let mut want = vec![0u8; per];
+        want[0] = reference::compress(&prb.components(), width, &mut want[1..]);
+        prop_assert_eq!(&wire, &want);
+        let (back, exp, used) = bfp::decompress_prb_wire(&wire, method).unwrap();
+        prop_assert_eq!((exp, used), (want[0], per));
+        prop_assert_eq!(back.components(), reference::decompress(&want[1..], width, exp));
     }
 
     #[test]

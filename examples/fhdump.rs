@@ -43,6 +43,7 @@ impl Tap {
             Body::CPlane(_) => "C-plane",
             Body::UPlane(u) if u.filter_index == 1 => "U-plane (PRACH)",
             Body::UPlane(_) => "U-plane",
+            Body::Recovery(_) => "recovery",
         };
         let dir = match msg.body.direction() {
             Direction::Downlink => "DL",

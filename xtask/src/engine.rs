@@ -130,10 +130,13 @@ fn package_name(manifest: &str) -> Option<String> {
 
 /// Find `(crate_name, crate_dir)` pairs under `root`, skipping `xtask`
 /// itself (its helper names like `parse` would otherwise leak into the
-/// name-based call graph as false candidates) and `rb-loom` (compiled
+/// name-based call graph as false candidates), `rb-loom` (compiled
 /// only under `--cfg loom`, never linked into the packet path; its shim
 /// method names — `push`, `pop`, `len` — shadow production ones and
-/// would fabricate hot chains through the model checker).
+/// would fabricate hot chains through the model checker) and `perf`
+/// (the benchmark package and its stand-in crates sit outside the
+/// workspace and only drive it; their `run`/`clear`/`fill` helpers
+/// fabricate hot chains the same way).
 fn discover_crates(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     let mut out = Vec::new();
     let mut stack = vec![(root.to_path_buf(), 0usize)];
@@ -161,7 +164,11 @@ fn discover_crates(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
             }
             let base = entry.file_name();
             let base = base.to_string_lossy();
-            if SKIP_DIRS.contains(&base.as_ref()) || base == "xtask" || base.starts_with('.') {
+            if SKIP_DIRS.contains(&base.as_ref())
+                || base == "xtask"
+                || base == "perf"
+                || base.starts_with('.')
+            {
                 continue;
             }
             stack.push((path, depth + 1));
