@@ -85,7 +85,7 @@ impl ArqSender {
         }
     }
 
-    fn on_data(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
+    fn on_data(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
         actions::redirect(&mut msg, self.mac, self.dst);
         let raw = msg.eaxc.pack(&ctx.mapping);
         // Cache exactly the bytes the preserving pipeline will emit.
@@ -98,7 +98,7 @@ impl ArqSender {
             counters::bump(&mut self.stats.cached);
         }
         ctx.charge(Work::Cache, XdpPlacement::Userspace);
-        vec![msg]
+        actions::emit(out, msg);
     }
 }
 
@@ -107,21 +107,21 @@ impl Middlebox for ArqSender {
         &self.name
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.on_data(ctx, msg)
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.on_data(ctx, msg, out);
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.on_data(ctx, msg)
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.on_data(ctx, msg, out);
     }
 
-    fn on_recovery(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        let mut out = Vec::new();
+    fn on_recovery(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         let Some(RecoveryOp::Nack { base_seq, mask }) = msg.as_recovery().map(|r| r.op.clone())
         else {
             // Parity or unknown recovery traffic is not ours: absorb.
-            return out;
+            return;
         };
+        let already_out = out.len();
         counters::bump(&mut self.stats.nacks_received);
         let raw = msg.eaxc.pack(&ctx.mapping);
         let mapping = ctx.mapping;
@@ -133,7 +133,7 @@ impl Middlebox for ArqSender {
                     // The cached bytes already carry our addressing and
                     // the preserved sequence number: replay verbatim.
                     if let Ok(replay) = recycler.parse(bytes, &mapping) {
-                        out.push(replay);
+                        actions::emit(out, replay);
                         counters::bump(&mut stats.retransmits);
                     }
                 }
@@ -142,15 +142,15 @@ impl Middlebox for ArqSender {
         } else {
             counters::bump_by(&mut stats.cache_misses, u64::from(mask.count_ones()));
         }
-        if !out.is_empty() {
+        let replayed = out.len().saturating_sub(already_out);
+        if replayed > 0 {
             ctx.telemetry.count(
                 ctx.now_ns(),
                 counters::ARQ_RETRANSMITS,
-                counters::as_count(out.len()),
+                counters::as_count(replayed),
             );
         }
         ctx.charge(Work::Cache, XdpPlacement::Userspace);
-        out
     }
 
     fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {
@@ -211,8 +211,7 @@ impl ArqReceiver {
         self.trackers.values().map(RxTracker::outstanding).sum()
     }
 
-    fn on_data(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
-        let mut out = Vec::new();
+    fn on_data(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
         let src = msg.eth.src;
         let raw = msg.eaxc.pack(&ctx.mapping);
         let verdict = self.trackers.entry((src, raw)).or_default().observe(msg.seq_id);
@@ -221,7 +220,7 @@ impl ArqReceiver {
             GapVerdict::InOrder => {
                 counters::bump(&mut self.stats.in_order);
                 actions::redirect(&mut msg, self.mac, self.dst);
-                out.push(msg);
+                actions::emit(out, msg);
             }
             GapVerdict::Ahead { first, count } => {
                 counters::bump_by(&mut self.stats.gaps_detected, u64::from(count));
@@ -229,41 +228,35 @@ impl ArqReceiver {
                 let nack_dir = msg.body.direction().flip();
                 let eaxc = msg.eaxc;
                 actions::redirect(&mut msg, self.mac, self.dst);
-                out.push(msg);
+                actions::emit(out, msg);
+                let data_out = out.len();
                 let counter = self.nack_seq.entry(raw).or_insert(0);
                 let stats = &mut self.stats;
                 let (mac, sender) = (self.mac, self.sender);
                 nack_chunks(first, count, |base, nack_mask| {
                     let seq = *counter;
                     *counter = counter.wrapping_add(1);
-                    out.push(FhMessage::new(
-                        mac,
-                        sender,
-                        eaxc,
-                        seq,
-                        rb_fronthaul::msg::Body::Recovery(RecoveryRepr::nack(
-                            nack_dir, base, nack_mask,
-                        )),
-                    ));
+                    let nack = RecoveryRepr::nack(nack_dir, base, nack_mask);
+                    let body = rb_fronthaul::msg::Body::Recovery(nack);
+                    actions::emit(out, FhMessage::new(mac, sender, eaxc, seq, body));
                     counters::bump(&mut stats.nacks_sent);
                 });
                 ctx.telemetry.count(
                     ctx.now_ns(),
                     counters::ARQ_NACKS_SENT,
-                    counters::as_count(out.len()).saturating_sub(1),
+                    counters::as_count(out.len().saturating_sub(data_out)),
                 );
             }
             GapVerdict::Recovered => {
                 counters::bump(&mut self.stats.recovered);
                 ctx.telemetry.count(ctx.now_ns(), counters::FRAMES_RECOVERED_ARQ, 1);
                 actions::redirect(&mut msg, self.mac, self.dst);
-                out.push(msg);
+                actions::emit(out, msg);
             }
             GapVerdict::Duplicate => {
                 counters::bump(&mut self.stats.duplicates_dropped);
             }
         }
-        out
     }
 }
 
@@ -272,12 +265,12 @@ impl Middlebox for ArqReceiver {
         &self.name
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.on_data(ctx, msg)
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.on_data(ctx, msg, out);
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.on_data(ctx, msg)
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.on_data(ctx, msg, out);
     }
 
     fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {

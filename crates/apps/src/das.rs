@@ -100,9 +100,10 @@ impl Das {
         &self.cfg
     }
 
-    fn fan_out(&mut self, msg: &FhMessage) -> Vec<FhMessage> {
+    fn fan_out(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        ctx.charge(Work::Replicate { copies: self.cfg.ru_macs.len() }, XdpPlacement::Userspace);
         counters::bump(&mut self.stats.dl_replicated);
-        actions::replicate(msg, self.cfg.mb_mac, &self.cfg.ru_macs)
+        actions::replicate_into(msg, self.cfg.mb_mac, &self.cfg.ru_macs, out);
     }
 
     /// Merge the cached uplink packets (one per RU) for one key into a
@@ -161,7 +162,7 @@ impl Das {
             counters::bump(&mut self.stats.ul_partial_merges);
             ctx.telemetry.count(ctx.now_ns(), "das_partial_merge", 1);
             if let Some(m) = self.merge(ctx, cached) {
-                out.push(m);
+                actions::emit(out, m);
             }
         }
     }
@@ -190,29 +191,27 @@ impl Middlebox for Das {
         &self.name
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         if msg.eth.src != self.cfg.du_mac {
             counters::bump(&mut self.stats.unknown_src);
-            return Vec::new();
+            return;
         }
         // Both DL and UL C-plane originate at the DU and go to every RU.
-        ctx.charge(Work::Replicate { copies: self.cfg.ru_macs.len() }, XdpPlacement::Userspace);
-        self.fan_out(&msg)
+        self.fan_out(ctx, msg, out);
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         if msg.eth.src == self.cfg.du_mac {
             // Downlink IQ: replicate to all RUs.
-            ctx.charge(Work::Replicate { copies: self.cfg.ru_macs.len() }, XdpPlacement::Userspace);
-            return self.fan_out(&msg);
+            return self.fan_out(ctx, msg, out);
         }
         if !self.cfg.ru_macs.contains(&msg.eth.src) {
             counters::bump(&mut self.stats.unknown_src);
-            return Vec::new();
+            return;
         }
         // Uplink IQ from one RU: cache until all RUs reported (A3).
         let Some(up) = msg.as_uplane() else {
-            return Vec::new();
+            return;
         };
         let key = CacheKey {
             eaxc_raw: msg.eaxc.pack(&ctx.mapping),
@@ -227,21 +226,19 @@ impl Middlebox for Das {
         // Older symbols of this stream that ran out of patience merge
         // first (partially), so one lost RU stalls a symbol for at most
         // the merge window instead of forever.
-        let mut out = Vec::new();
-        self.flush_overdue(ctx, key.eaxc_raw, now_abs, &mut out);
+        self.flush_overdue(ctx, key.eaxc_raw, now_abs, out);
         if ctx.cache.count(&key) < self.cfg.ru_macs.len() {
             if self.merge_window > 0 && !self.pending.iter().any(|(k, _)| *k == key) {
                 self.pending.push((key, now_abs));
             }
             ctx.charge(Work::Cache, XdpPlacement::Userspace);
-            return out;
+            return;
         }
         self.pending.retain(|(k, _)| *k != key);
         let cached = ctx.cache.take(&key);
         if let Some(merged) = self.merge(ctx, cached) {
-            out.push(merged);
+            actions::emit(out, merged);
         }
-        out
     }
 
     fn classify(&self, msg: &FhMessage) -> (Work, XdpPlacement) {

@@ -143,19 +143,18 @@ impl Dmimo {
             .collect()
     }
 
-    fn downlink(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
+    fn downlink(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
         let virtual_port = msg.eaxc.ru_port;
         let Some((ru_idx, local)) = self.to_physical(virtual_port) else {
             counters::bump(&mut self.stats.bad_port);
-            return Vec::new();
+            return;
         };
         let Some(ru_mac) = self.cfg.rus.get(ru_idx).map(|r| r.mac) else {
             counters::bump(&mut self.stats.bad_port);
-            return Vec::new();
+            return;
         };
         ctx.charge(Work::InspectHeaders { prbs: 0 }, XdpPlacement::Kernel);
 
-        let mut out = Vec::with_capacity(self.cfg.rus.len());
         // SSB copy: clone SSB sections from virtual port 0 towards every
         // *other* radio's local port 0.
         if self.cfg.ssb_copy && virtual_port == 0 {
@@ -173,7 +172,7 @@ impl Dmimo {
                     }
                     actions::redirect(&mut copy, self.cfg.mb_mac, ru.mac);
                     counters::bump(&mut self.stats.ssb_copies);
-                    out.push(copy);
+                    actions::emit(out, copy);
                 }
                 ctx.charge(Work::InspectHeaders { prbs: ssb_prbs }, XdpPlacement::Kernel);
             }
@@ -182,24 +181,23 @@ impl Dmimo {
         msg.eaxc = msg.eaxc.with_ru_port(local);
         actions::redirect(&mut msg, self.cfg.mb_mac, ru_mac);
         counters::bump(&mut self.stats.dl_remapped);
-        out.push(msg);
-        out
+        actions::emit(out, msg);
     }
 
-    fn uplink(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
+    fn uplink(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
         let Some(ru_idx) = self.ru_index_of(msg.eth.src) else {
             counters::bump(&mut self.stats.unknown_src);
-            return Vec::new();
+            return;
         };
         let Some(v) = self.to_virtual(ru_idx, msg.eaxc.ru_port) else {
             counters::bump(&mut self.stats.bad_port);
-            return Vec::new();
+            return;
         };
         ctx.charge(Work::InspectHeaders { prbs: 0 }, XdpPlacement::Kernel);
         msg.eaxc = msg.eaxc.with_ru_port(v);
         actions::redirect(&mut msg, self.cfg.mb_mac, self.cfg.du_mac);
         counters::bump(&mut self.stats.ul_remapped);
-        vec![msg]
+        actions::emit(out, msg);
     }
 }
 
@@ -208,19 +206,19 @@ impl Middlebox for Dmimo {
         &self.name
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         if msg.eth.src == self.cfg.du_mac {
-            self.downlink(ctx, msg)
+            self.downlink(ctx, msg, out);
         } else {
-            self.uplink(ctx, msg)
+            self.uplink(ctx, msg, out);
         }
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         if msg.eth.src == self.cfg.du_mac {
-            self.downlink(ctx, msg)
+            self.downlink(ctx, msg, out);
         } else {
-            self.uplink(ctx, msg)
+            self.uplink(ctx, msg, out);
         }
     }
 

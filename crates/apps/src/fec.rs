@@ -85,8 +85,7 @@ impl FecEncoderMb {
         self.cfg
     }
 
-    fn on_data(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
-        let mut out = Vec::new();
+    fn on_data(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
         // Redirect first: the decoder caches and repairs the bytes as
         // they cross the protected segment, addressing included.
         actions::redirect(&mut msg, self.mac, self.dst);
@@ -103,7 +102,7 @@ impl FecEncoderMb {
             }
             Err(_) => EncodeAction::PassThrough,
         };
-        out.push(msg);
+        actions::emit(out, msg);
         match action {
             EncodeAction::Absorbed | EncodeAction::Restarted => {
                 counters::bump(&mut self.stats.protected);
@@ -119,29 +118,24 @@ impl FecEncoderMb {
                     enc.for_each_parity(|block: ParityBlock<'_>| {
                         let seq = *counter;
                         *counter = counter.wrapping_add(1);
-                        out.push(FhMessage::new(
-                            mac,
-                            dst,
-                            eaxc,
-                            seq,
-                            Body::Recovery(RecoveryRepr {
-                                direction: data_dir,
-                                op: RecoveryOp::Parity {
-                                    base_seq: block.base_seq,
-                                    window: block.window,
-                                    depth: block.depth,
-                                    class: block.class,
-                                    payload: block.payload.to_vec(),
-                                },
-                            }),
-                        ));
+                        let parity = RecoveryRepr {
+                            direction: data_dir,
+                            op: RecoveryOp::Parity {
+                                base_seq: block.base_seq,
+                                window: block.window,
+                                depth: block.depth,
+                                class: block.class,
+                                payload: block.payload.to_vec(),
+                            },
+                        };
+                        let body = Body::Recovery(parity);
+                        actions::emit(out, FhMessage::new(mac, dst, eaxc, seq, body));
                         counters::bump(&mut stats.parities_sent);
                     });
                 }
             }
         }
         ctx.charge(Work::Cache, XdpPlacement::Userspace);
-        out
     }
 }
 
@@ -150,12 +144,12 @@ impl Middlebox for FecEncoderMb {
         &self.name
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.on_data(ctx, msg)
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.on_data(ctx, msg, out);
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.on_data(ctx, msg)
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.on_data(ctx, msg, out);
     }
 
     fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {
@@ -216,7 +210,7 @@ impl FecDecoderMb {
         }
     }
 
-    fn on_data(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
+    fn on_data(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
         // Cache the bytes as received — exactly what the encoder folded
         // into its lanes — before rewriting the addressing for the hop
         // downstream.
@@ -231,7 +225,7 @@ impl FecDecoderMb {
         }
         actions::redirect(&mut msg, self.mac, self.dst);
         ctx.charge(Work::Cache, XdpPlacement::Userspace);
-        vec![msg]
+        actions::emit(out, msg);
     }
 }
 
@@ -240,22 +234,21 @@ impl Middlebox for FecDecoderMb {
         &self.name
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.on_data(ctx, msg)
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.on_data(ctx, msg, out);
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.on_data(ctx, msg)
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.on_data(ctx, msg, out);
     }
 
-    fn on_recovery(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        let mut out = Vec::new();
+    fn on_recovery(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         let Some(repr) = msg.as_recovery() else {
-            return out;
+            return;
         };
         let RecoveryOp::Parity { base_seq, window, depth, class, ref payload } = repr.op else {
             // NACKs belong to the ARQ pair: absorb quietly.
-            return out;
+            return;
         };
         counters::bump(&mut self.stats.parities_seen);
         let raw = msg.eaxc.pack(&ctx.mapping);
@@ -275,7 +268,7 @@ impl Middlebox for FecDecoderMb {
                     actions::redirect(&mut rebuilt, self.mac, self.dst);
                     counters::bump(&mut self.stats.recovered);
                     ctx.telemetry.count(ctx.now_ns(), counters::FRAMES_RECOVERED_FEC, 1);
-                    out.push(rebuilt);
+                    actions::emit(out, rebuilt);
                 } else {
                     counters::bump(&mut self.stats.malformed);
                 }
@@ -283,7 +276,6 @@ impl Middlebox for FecDecoderMb {
             Repair::Unrecoverable { .. } => counters::bump(&mut self.stats.unrecoverable),
             Repair::Malformed => counters::bump(&mut self.stats.malformed),
         }
-        out
     }
 
     fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {

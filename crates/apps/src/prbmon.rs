@@ -270,17 +270,17 @@ impl PrbMon {
     }
 
     /// Forward a packet to the opposite side, unchanged except addressing.
-    fn forward(&mut self, msg: &mut FhMessage) -> bool {
+    fn forward(&mut self, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
         let dst = if msg.eth.src == self.cfg.du_mac {
             self.cfg.ru_mac
         } else if msg.eth.src == self.cfg.ru_mac {
             self.cfg.du_mac
         } else {
-            return false;
+            return;
         };
-        actions::redirect(msg, self.cfg.mb_mac, dst);
+        actions::redirect(&mut msg, self.cfg.mb_mac, dst);
         counters::bump(&mut self.stats.forwarded);
-        true
+        actions::emit(out, msg);
     }
 }
 
@@ -289,17 +289,13 @@ impl Middlebox for PrbMon {
         &self.name
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         self.maybe_flush(ctx);
         ctx.charge(Work::Forward, XdpPlacement::Kernel);
-        if self.forward(&mut msg) {
-            vec![msg]
-        } else {
-            Vec::new()
-        }
+        self.forward(msg, out);
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         self.maybe_flush(ctx);
         let direction = msg.body.direction();
         if msg.eaxc.ru_port == self.cfg.port {
@@ -319,11 +315,7 @@ impl Middlebox for PrbMon {
         } else {
             ctx.charge(Work::Forward, XdpPlacement::Kernel);
         }
-        if self.forward(&mut msg) {
-            vec![msg]
-        } else {
-            Vec::new()
-        }
+        self.forward(msg, out);
     }
 
     fn classify(&self, msg: &FhMessage) -> (Work, XdpPlacement) {

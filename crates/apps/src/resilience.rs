@@ -128,26 +128,25 @@ impl Resilience {
         }
     }
 
-    fn route(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
+    fn route(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
         ctx.charge(Work::Forward, XdpPlacement::Kernel);
         if msg.eth.src == self.active_mac() {
             // Downlink from the live DU: refresh liveness and forward.
             self.last_dl = Some(ctx.now);
             actions::redirect(&mut msg, self.cfg.mb_mac, self.cfg.ru_mac);
             counters::bump(&mut self.stats.dl_forwarded);
-            return vec![msg];
+            return actions::emit(out, msg);
         }
         if msg.eth.src == self.cfg.ru_mac {
             // Uplink: steer to whichever DU is active right now (A1).
             actions::redirect(&mut msg, self.cfg.mb_mac, self.active_mac());
             counters::bump(&mut self.stats.ul_forwarded);
-            return vec![msg];
+            return actions::emit(out, msg);
         }
         if msg.eth.src == self.cfg.primary_mac || msg.eth.src == self.cfg.standby_mac {
             // The inactive DU keeps transmitting into the void.
             counters::bump(&mut self.stats.standby_absorbed);
         }
-        Vec::new()
     }
 }
 
@@ -156,17 +155,17 @@ impl Middlebox for Resilience {
         &self.name
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.route(ctx, msg)
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.route(ctx, msg, out);
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.route(ctx, msg)
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.route(ctx, msg, out);
     }
 
-    fn on_tick(&mut self, ctx: &mut MbContext<'_>, tag: u64) -> Vec<FhMessage> {
+    fn on_tick(&mut self, ctx: &mut MbContext<'_>, tag: u64, _out: &mut Vec<FhMessage>) {
         if tag != WATCHDOG_TICK || self.active != ActiveDu::Primary {
-            return Vec::new();
+            return;
         }
         if let Some(last) = self.last_dl {
             if ctx.now.since(last) >= self.cfg.failure_timeout {
@@ -176,7 +175,6 @@ impl Middlebox for Resilience {
                 ctx.telemetry.count(ctx.now_ns(), "failover", 1);
             }
         }
-        Vec::new()
     }
 
     fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {
@@ -261,10 +259,10 @@ mod tests {
         // Primary alive at t=0.
         r.handle(&mut ctx_at(&mut cache, &tel, 0), msg(mac(1), Direction::Downlink));
         // Tick inside the timeout: still primary.
-        r.on_tick(&mut ctx_at(&mut cache, &tel, 2_000_000), WATCHDOG_TICK);
+        r.on_tick(&mut ctx_at(&mut cache, &tel, 2_000_000), WATCHDOG_TICK, &mut Vec::new());
         assert_eq!(r.active(), ActiveDu::Primary);
         // Tick past the timeout: failover.
-        r.on_tick(&mut ctx_at(&mut cache, &tel, 3_500_000), WATCHDOG_TICK);
+        r.on_tick(&mut ctx_at(&mut cache, &tel, 3_500_000), WATCHDOG_TICK, &mut Vec::new());
         assert_eq!(r.active(), ActiveDu::Standby);
         assert_eq!(r.stats.failovers, 1);
         // Uplink now steers to the standby; standby DL passes; primary
@@ -286,7 +284,7 @@ mod tests {
         let mut cache = SymbolCache::new(8);
         let tel = TelemetrySender::disconnected("t");
         // Watchdog with no liveness sample yet: don't flap at startup.
-        r.on_tick(&mut ctx_at(&mut cache, &tel, 10_000_000), WATCHDOG_TICK);
+        r.on_tick(&mut ctx_at(&mut cache, &tel, 10_000_000), WATCHDOG_TICK, &mut Vec::new());
         assert_eq!(r.active(), ActiveDu::Primary);
     }
 
@@ -296,7 +294,7 @@ mod tests {
         let mut cache = SymbolCache::new(8);
         let tel = TelemetrySender::disconnected("t");
         r.handle(&mut ctx_at(&mut cache, &tel, 0), msg(mac(1), Direction::Downlink));
-        r.on_tick(&mut ctx_at(&mut cache, &tel, 5_000_000), WATCHDOG_TICK);
+        r.on_tick(&mut ctx_at(&mut cache, &tel, 5_000_000), WATCHDOG_TICK, &mut Vec::new());
         assert_eq!(r.active(), ActiveDu::Standby);
         r.fail_back();
         assert_eq!(r.active(), ActiveDu::Primary);
@@ -312,7 +310,7 @@ mod tests {
         let mut r = mb();
         let mut cache = SymbolCache::new(8);
         r.handle(&mut ctx_at(&mut cache, &tx, 0), msg(mac(1), Direction::Downlink));
-        r.on_tick(&mut ctx_at(&mut cache, &tx, 5_000_000), WATCHDOG_TICK);
+        r.on_tick(&mut ctx_at(&mut cache, &tx, 5_000_000), WATCHDOG_TICK, &mut Vec::new());
         let events = rx.drain();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].source, "resil");

@@ -26,6 +26,7 @@
 
 use std::collections::HashMap;
 
+use rb_core::actions;
 use rb_core::cache::{CacheKey, Plane};
 use rb_core::middlebox::{MbContext, Middlebox};
 use rb_core::telemetry::counters;
@@ -316,27 +317,28 @@ impl RuShare {
         ctx: &mut MbContext<'_>,
         du_idx: usize,
         msg: FhMessage,
-    ) -> Vec<FhMessage> {
+        out: &mut Vec<FhMessage>,
+    ) {
         let Some(cp) = msg.as_cplane().cloned() else {
             counters::bump(&mut self.stats.dropped);
-            return Vec::new();
+            return;
         };
         if matches!(cp.sections, Sections::Type3 { .. }) {
-            return self.prach_from_du(ctx, du_idx, msg, cp);
+            return self.prach_from_du(ctx, du_idx, msg, cp, out);
         }
         if matches!(cp.sections, Sections::Type0 { .. }) {
             // Idle-resource advertisements carry no U-plane: pass them to
             // the RU untouched (A1); they never create mux state.
-            let mut out = msg;
-            rb_core::actions::redirect(&mut out, self.cfg.mb_mac, self.cfg.ru_mac);
+            let mut fwd = msg;
+            actions::redirect(&mut fwd, self.cfg.mb_mac, self.cfg.ru_mac);
             ctx.charge(Work::Forward, XdpPlacement::Kernel);
-            return vec![out];
+            return actions::emit(out, fwd);
         }
         let key = (cp.symbol.slot_start(), msg.eaxc.ru_port, cp.direction);
         let sections = cp.sections.common_fields();
         let Some(du_prbs) = self.cfg.dus.get(du_idx).map(|d| d.carrier.num_prb) else {
             counters::bump(&mut self.stats.dropped);
-            return Vec::new();
+            return;
         };
         let ranges: Vec<(u16, u16)> =
             sections.iter().map(|s| (s.start_prb, s.resolved_num_prb(du_prbs))).collect();
@@ -346,10 +348,10 @@ impl RuShare {
         if !ranges.iter().all(|&(start, num)| self.range_fits_ru(du_idx, start, num)) {
             counters::bump(&mut self.stats.pass_through);
             ctx.telemetry.count(ctx.now_ns(), "rushare_pass_through", 1);
-            let mut out = msg;
-            rb_core::actions::redirect(&mut out, self.cfg.mb_mac, self.cfg.ru_mac);
+            let mut fwd = msg;
+            actions::redirect(&mut fwd, self.cfg.mb_mac, self.cfg.ru_mac);
             ctx.charge(Work::Forward, XdpPlacement::Kernel);
-            return vec![out];
+            return actions::emit(out, fwd);
         }
         let request = DuRequest {
             du_idx,
@@ -361,21 +363,21 @@ impl RuShare {
         ctx.charge(Work::InspectHeaders { prbs: 0 }, XdpPlacement::Userspace);
         if state.sent_to_ru {
             counters::bump(&mut self.stats.cplane_absorbed);
-            return Vec::new();
+            return;
         }
         state.sent_to_ru = true;
         // Rewrite to "whole RU spectrum" and forward (Algorithm 2 line 5).
-        let mut out = msg;
-        if let Some(c) = out.as_cplane_mut() {
+        let mut maximized = msg;
+        if let Some(c) = maximized.as_cplane_mut() {
             if let Sections::Type1 { sections, comp } = &mut c.sections {
                 let comp = *comp;
                 *sections = vec![SectionFields::data(0, 0, NUM_PRB_ALL, SYMBOLS_PER_SLOT)];
                 let _ = comp;
             }
         }
-        rb_core::actions::redirect(&mut out, self.cfg.mb_mac, self.cfg.ru_mac);
+        actions::redirect(&mut maximized, self.cfg.mb_mac, self.cfg.ru_mac);
         counters::bump(&mut self.stats.cplane_maximized);
-        vec![out]
+        actions::emit(out, maximized);
     }
 
     fn prach_from_du(
@@ -384,7 +386,8 @@ impl RuShare {
         du_idx: usize,
         msg: FhMessage,
         cp: CPlaneRepr,
-    ) -> Vec<FhMessage> {
+        out: &mut Vec<FhMessage>,
+    ) {
         let key = (cp.symbol.slot_start(), msg.eaxc.ru_port);
         // Cache the raw packet for the occasion (A3); the filter field
         // keeps it apart from data C-plane at the same symbol.
@@ -401,11 +404,11 @@ impl RuShare {
         let pending = self.prach_pending.entry(key).or_default();
         pending.push((du_idx, cp));
         if pending.len() < self.cfg.dus.len() {
-            return Vec::new();
+            return;
         }
         // All DUs reported: append sections into one message (Alg. 3).
         let Some(pending) = self.prach_pending.remove(&key) else {
-            return Vec::new();
+            return;
         };
         let _ = ctx.cache.take(&cache_key);
         let mut merged_sections = Vec::new();
@@ -442,7 +445,7 @@ impl RuShare {
             }
         }
         let Some((symbol, time_offset, frame_structure, cp_length, comp)) = header else {
-            return Vec::new();
+            return;
         };
         self.prach_orig.insert(key, directory);
         let merged = CPlaneRepr {
@@ -457,7 +460,7 @@ impl RuShare {
                 sections: merged_sections,
             },
         };
-        let out = FhMessage::new(
+        let merged = FhMessage::new(
             self.cfg.mb_mac,
             self.cfg.ru_mac,
             rb_fronthaul::eaxc::Eaxc::port(key.1),
@@ -466,17 +469,22 @@ impl RuShare {
         );
         counters::bump(&mut self.stats.prach_merges);
         ctx.charge(Work::InspectHeaders { prbs: 0 }, XdpPlacement::Userspace);
-        vec![out]
+        actions::emit(out, merged);
     }
 
     // ------------------------------------------------------------------
     // Downlink U-plane multiplexing
     // ------------------------------------------------------------------
 
-    fn dl_uplane_from_du(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+    fn dl_uplane_from_du(
+        &mut self,
+        ctx: &mut MbContext<'_>,
+        msg: FhMessage,
+        out: &mut Vec<FhMessage>,
+    ) {
         let Some(up) = msg.as_uplane() else {
             counters::bump(&mut self.stats.dropped);
-            return Vec::new();
+            return;
         };
         let symbol = up.symbol;
         let port = msg.eaxc.ru_port;
@@ -493,7 +501,7 @@ impl RuShare {
 
         // Which DUs are expected to deliver IQ for this symbol?
         let Some(state) = self.cplane.get(&slot_key) else {
-            return Vec::new(); // no C-plane seen (yet) — hold in cache
+            return; // no C-plane seen (yet) — hold in cache
         };
         let expected: Vec<usize> = state
             .requests
@@ -502,15 +510,15 @@ impl RuShare {
             .map(|r| r.du_idx)
             .collect();
         if expected.is_empty() {
-            return Vec::new();
+            return;
         }
         let cached = ctx.cache.get(&cache_key);
         let have: Vec<usize> = cached.iter().filter_map(|m| self.du_index(m.eth.src)).collect();
         if !expected.iter().all(|e| have.contains(e)) {
-            return Vec::new();
+            return;
         }
         let cached = ctx.cache.take(&cache_key);
-        self.mux_dl_symbol(ctx, symbol, port, cached)
+        self.mux_dl_symbol(ctx, symbol, port, cached, out);
     }
 
     fn mux_dl_symbol(
@@ -519,7 +527,8 @@ impl RuShare {
         symbol: SymbolId,
         port: u8,
         cached: Vec<FhMessage>,
-    ) -> Vec<FhMessage> {
+        out: &mut Vec<FhMessage>,
+    ) {
         let method = cached
             .first()
             .and_then(|m| m.as_uplane())
@@ -544,7 +553,7 @@ impl RuShare {
                             counters::bump(&mut self.stats.dropped);
                             continue;
                         };
-                        if rb_core::actions::copy_prbs(&mut dst, s, 0, at, s.num_prb()).is_ok() {
+                        if actions::copy_prbs(&mut dst, s, 0, at, s.num_prb()).is_ok() {
                             counters::bump(&mut self.stats.aligned_copies);
                         } else {
                             counters::bump(&mut self.stats.dropped);
@@ -576,7 +585,7 @@ impl RuShare {
             symbol,
             sections: vec![dst],
         };
-        let out = FhMessage::new(
+        let muxed = FhMessage::new(
             self.cfg.mb_mac,
             self.cfg.ru_mac,
             rb_fronthaul::eaxc::Eaxc::port(port),
@@ -584,7 +593,7 @@ impl RuShare {
             Body::UPlane(merged),
         );
         counters::bump(&mut self.stats.dl_muxes);
-        vec![out]
+        actions::emit(out, muxed);
     }
 
     /// Misaligned placement: decompress the DU section, write its samples
@@ -638,14 +647,19 @@ impl RuShare {
     // Uplink U-plane demultiplexing
     // ------------------------------------------------------------------
 
-    fn ul_uplane_from_ru(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+    fn ul_uplane_from_ru(
+        &mut self,
+        ctx: &mut MbContext<'_>,
+        msg: FhMessage,
+        out: &mut Vec<FhMessage>,
+    ) {
         let Some(up) = msg.as_uplane().cloned() else {
             counters::bump(&mut self.stats.dropped);
-            return Vec::new();
+            return;
         };
         let port = msg.eaxc.ru_port;
         if up.filter_index == 1 {
-            return self.prach_from_ru(ctx, port, up);
+            return self.prach_from_ru(ctx, port, up, out);
         }
         let slot_key = (up.symbol.slot_start(), port, Direction::Uplink);
         let Some(state) = self.cplane.get(&slot_key) else {
@@ -657,10 +671,9 @@ impl RuShare {
             ctx.telemetry.count(ctx.now_ns(), "rushare_pass_through", 1);
             ctx.charge(Work::Replicate { copies: self.cfg.dus.len() }, XdpPlacement::Kernel);
             let dsts: Vec<EthernetAddress> = self.cfg.dus.iter().map(|d| d.mac).collect();
-            return rb_core::actions::replicate(&msg, self.cfg.mb_mac, &dsts);
+            return actions::replicate_into(msg, self.cfg.mb_mac, &dsts, out);
         };
         let requests = state.requests.clone();
-        let mut out = Vec::with_capacity(requests.len());
         let mut total_prbs = 0usize;
         let mut any_misaligned = false;
         for req in &requests {
@@ -712,7 +725,9 @@ impl RuShare {
                 symbol: up.symbol,
                 sections,
             };
-            out.push(FhMessage::new(self.cfg.mb_mac, du.mac, msg.eaxc, 0, Body::UPlane(demuxed)));
+            let demuxed =
+                FhMessage::new(self.cfg.mb_mac, du.mac, msg.eaxc, 0, Body::UPlane(demuxed));
+            actions::emit(out, demuxed);
             counters::bump(&mut self.stats.ul_demuxes);
         }
         ctx.charge(
@@ -727,7 +742,6 @@ impl RuShare {
         if up.symbol.symbol == LAST_SYMBOL {
             self.cplane.remove(&slot_key);
         }
-        out
     }
 
     /// Aligned extraction: compressed byte copy from the RU packet.
@@ -817,14 +831,14 @@ impl RuShare {
         ctx: &mut MbContext<'_>,
         port: u8,
         up: UPlaneRepr,
-    ) -> Vec<FhMessage> {
+        out: &mut Vec<FhMessage>,
+    ) {
         let key = (up.symbol.slot_start(), port);
         let Some(directory) = self.prach_orig.remove(&key) else {
             counters::bump(&mut self.stats.dropped);
-            return Vec::new();
+            return;
         };
         ctx.charge(Work::Replicate { copies: directory.len() }, XdpPlacement::Userspace);
-        let mut out = Vec::with_capacity(up.sections.len());
         for section in &up.sections {
             let Some(orig) = directory.get(&section.section_id) else {
                 counters::bump(&mut self.stats.dropped);
@@ -842,16 +856,16 @@ impl RuShare {
                 symbol: up.symbol,
                 sections: vec![s],
             };
-            out.push(FhMessage::new(
+            let demuxed = FhMessage::new(
                 self.cfg.mb_mac,
                 du.mac,
                 rb_fronthaul::eaxc::Eaxc::port(port),
                 0,
                 Body::UPlane(demuxed),
-            ));
+            );
+            actions::emit(out, demuxed);
             counters::bump(&mut self.stats.prach_demuxes);
         }
-        out
     }
 }
 
@@ -860,30 +874,26 @@ impl Middlebox for RuShare {
         &self.name
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         if let Some(cp) = msg.as_cplane() {
             self.advance_horizon(cp.symbol);
         }
         match self.du_index(msg.eth.src) {
-            Some(du_idx) => self.cplane_from_du(ctx, du_idx, msg),
-            None => {
-                counters::bump(&mut self.stats.dropped);
-                Vec::new()
-            }
+            Some(du_idx) => self.cplane_from_du(ctx, du_idx, msg, out),
+            None => counters::bump(&mut self.stats.dropped),
         }
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         if let Some(up) = msg.as_uplane() {
             self.advance_horizon(up.symbol);
         }
         if msg.eth.src == self.cfg.ru_mac {
-            self.ul_uplane_from_ru(ctx, msg)
+            self.ul_uplane_from_ru(ctx, msg, out);
         } else if self.du_index(msg.eth.src).is_some() {
-            self.dl_uplane_from_du(ctx, msg)
+            self.dl_uplane_from_du(ctx, msg, out);
         } else {
             counters::bump(&mut self.stats.dropped);
-            Vec::new()
         }
     }
 

@@ -93,13 +93,12 @@ impl SecMon {
         self.stats.drops.values().sum()
     }
 
-    fn drop_with(&mut self, ctx: &mut MbContext<'_>, v: Violation) -> Vec<FhMessage> {
+    fn drop_with(&mut self, ctx: &mut MbContext<'_>, v: Violation) {
         counters::bump(self.stats.drops.entry(v).or_insert(0));
         ctx.telemetry.count(ctx.now_ns(), "sec_drop", 1);
-        Vec::new()
     }
 
-    fn inspect(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
+    fn inspect(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
         ctx.charge(Work::InspectHeaders { prbs: 0 }, XdpPlacement::Kernel);
         let from_du = self.cfg.du_macs.contains(&msg.eth.src);
         let from_ru = self.cfg.ru_macs.contains(&msg.eth.src);
@@ -141,7 +140,7 @@ impl SecMon {
         let dst = if from_du { self.cfg.towards_ru } else { self.cfg.towards_du };
         actions::redirect(&mut msg, self.cfg.mb_mac, dst);
         counters::bump(&mut self.stats.passed);
-        vec![msg]
+        actions::emit(out, msg);
     }
 }
 
@@ -150,12 +149,12 @@ impl Middlebox for SecMon {
         &self.name
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.inspect(ctx, msg)
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.inspect(ctx, msg, out);
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.inspect(ctx, msg)
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.inspect(ctx, msg, out);
     }
 
     fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {

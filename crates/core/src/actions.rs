@@ -2,8 +2,8 @@
 //!
 //! Actions are deliberately small, composable operations on parsed
 //! [`FhMessage`]s; A3 (caching) lives in [`crate::cache`]. Handlers express
-//! their result as a list of messages to transmit — dropping a packet
-//! (part of A1) is simply not returning it.
+//! their result by [`emit`]ting messages into the buffer the framework
+//! hands them — dropping a packet (part of A1) is simply not emitting it.
 
 use rb_fronthaul::bfp::{self, CompressionMethod};
 use rb_fronthaul::ether::EthernetAddress;
@@ -24,20 +24,33 @@ pub fn retag(msg: &mut FhMessage, vlan: Option<u16>) {
     msg.eth.vlan = vlan;
 }
 
-/// A2 — replicate: clone `msg` once per destination, rewriting addressing.
-/// Returns one message per destination, in order.
-pub fn replicate(
-    msg: &FhMessage,
+/// Queue `msg` for transmission: append it to the handler's `out` buffer.
+/// Every handler emits through here, so the framework's bound on `out` —
+/// one frame's fan-out, drained by the pipeline before the next frame —
+/// is argued once.
+pub fn emit(out: &mut Vec<FhMessage>, msg: FhMessage) {
+    out.push(msg);
+}
+
+/// A2 — replicate: emit one copy of `msg` per destination, in order, with
+/// the addressing rewritten. Consumes `msg`: the last destination gets the
+/// original, so N destinations cost N − 1 clones; none at all emit nothing.
+pub fn replicate_into(
+    mut msg: FhMessage,
     src: EthernetAddress,
     dsts: &[EthernetAddress],
-) -> Vec<FhMessage> {
-    dsts.iter()
-        .map(|&dst| {
-            let mut clone = msg.clone();
-            redirect(&mut clone, src, dst);
-            clone
-        })
-        .collect()
+    out: &mut Vec<FhMessage>,
+) {
+    let Some((&last, rest)) = dsts.split_last() else {
+        return;
+    };
+    for &dst in rest {
+        let mut copy = msg.clone();
+        redirect(&mut copy, src, dst);
+        emit(out, copy);
+    }
+    redirect(&mut msg, src, last);
+    emit(out, msg);
 }
 
 /// PRBs summed per pass of [`sum_sections_into`]: a 64 × 48 B = 3 KB stack
@@ -200,14 +213,20 @@ mod tests {
     }
 
     #[test]
-    fn replicate_clones_per_destination() {
+    fn replicate_into_emits_one_copy_per_destination_in_order() {
         let msg = cplane_msg();
-        let copies = replicate(&msg, mac(9), &[mac(10), mac(11), mac(12)]);
-        assert_eq!(copies.len(), 3);
-        for (k, c) in copies.iter().enumerate() {
-            assert_eq!(c.eth.src, mac(9));
-            assert_eq!(c.eth.dst, mac(10 + k as u8));
-            assert_eq!(c.body, msg.body);
+        for n in 0..=3u8 {
+            let dsts: Vec<EthernetAddress> = (0..n).map(|k| mac(10 + k)).collect();
+            // Appends: what the caller already queued stays in front.
+            let mut out = vec![msg.clone()];
+            replicate_into(msg.clone(), mac(9), &dsts, &mut out);
+            assert_eq!(out.len(), 1 + dsts.len());
+            assert_eq!(out[0], msg);
+            for (copy, &dst) in out[1..].iter().zip(&dsts) {
+                let mut want = msg.clone();
+                redirect(&mut want, mac(9), dst);
+                assert_eq!(*copy, want, "equal to the input except eth.src/eth.dst");
+            }
         }
     }
 
@@ -327,7 +346,9 @@ mod tests {
             3,
             Body::UPlane(UPlaneRepr::single(Direction::Uplink, SymbolId::ZERO, section)),
         );
-        let copies = replicate(&msg, mac(1), &[mac(3), mac(4)]);
+        let mut copies = Vec::new();
+        replicate_into(msg.clone(), mac(1), &[mac(3), mac(4)], &mut copies);
+        assert_eq!(copies.len(), 2);
         for c in &copies {
             assert_eq!(c.as_uplane().unwrap().sections, msg.as_uplane().unwrap().sections);
         }

@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 
-use rb_fronthaul::eaxc::EaxcMapping;
 use rb_fronthaul::ether::EthernetAddress;
 use rb_netsim::cost::{CostModel, CpuLedger};
 use rb_netsim::engine::{Node, NodeEvent, Outbox};
@@ -69,18 +68,6 @@ impl<M: Middlebox> MiddleboxHost<M> {
     /// itself afterwards.
     pub fn with_tick(mut self, period: rb_netsim::time::SimDuration, tag: u64) -> Self {
         self.tick = Some((period, tag));
-        self
-    }
-
-    /// Use a non-default eAxC mapping.
-    pub fn with_mapping(mut self, mapping: EaxcMapping) -> Self {
-        self.pipeline.set_mapping(mapping);
-        self
-    }
-
-    /// Share a management rule table (e.g. with an orchestrator).
-    pub fn with_rules(mut self, rules: crate::mgmt::SharedRules) -> Self {
-        self.pipeline.set_rules(rules);
         self
     }
 
@@ -153,7 +140,7 @@ mod tests {
     use crate::middlebox::Passthrough;
     use rb_fronthaul::bfp::CompressionMethod;
     use rb_fronthaul::cplane::{CPlaneRepr, SectionFields};
-    use rb_fronthaul::eaxc::Eaxc;
+    use rb_fronthaul::eaxc::{Eaxc, EaxcMapping};
     use rb_fronthaul::msg::{Body, FhMessage};
     use rb_fronthaul::timing::SymbolId;
     use rb_fronthaul::Direction;

@@ -3,16 +3,17 @@
 //! Developers implement [`Middlebox`]: two handler functions (one per
 //! plane) that receive parsed fronthaul messages and a [`MbContext`] with
 //! the framework services — the symbol cache (A3), telemetry, simulated
-//! time and the eAxC mapping. Handlers return the messages to transmit;
-//! returning nothing drops the packet (A1), returning several replicates
-//! it (A2). All four reference applications of the paper (and this repo)
-//! are written against this one trait.
+//! time and the eAxC mapping. Handlers emit the messages to transmit into
+//! the caller's `out` buffer; emitting nothing drops the packet (A1),
+//! emitting several replicates it (A2). All four reference applications of
+//! the paper (and this repo) are written against this one trait.
 
 use rb_fronthaul::eaxc::EaxcMapping;
 use rb_fronthaul::msg::{Body, FhMessage};
 use rb_netsim::cost::{Work, XdpPlacement};
 use rb_netsim::time::SimTime;
 
+use crate::actions;
 use crate::cache::SymbolCache;
 use crate::telemetry::TelemetrySender;
 
@@ -54,24 +55,28 @@ pub trait Middlebox: 'static {
     /// Middlebox instance name (used in telemetry attribution).
     fn name(&self) -> &str;
 
-    /// Handle a C-plane message; return the messages to transmit.
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage>;
+    /// Handle a C-plane message, emitting the messages to transmit into
+    /// `out` (see [`crate::actions::emit`]).
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>);
 
-    /// Handle a U-plane message; return the messages to transmit.
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage>;
+    /// Handle a U-plane message, emitting the messages to transmit into
+    /// `out`.
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>);
 
     /// Handle a recovery control message (ARQ NACK / FEC parity). Most
     /// middleboxes are not recovery peers: the default absorbs the message
     /// so recovery control never leaks past a non-participating hop.
-    fn on_recovery(&mut self, _ctx: &mut MbContext<'_>, _msg: FhMessage) -> Vec<FhMessage> {
-        Vec::new()
+    fn on_recovery(
+        &mut self,
+        _ctx: &mut MbContext<'_>,
+        _msg: FhMessage,
+        _out: &mut Vec<FhMessage>,
+    ) {
     }
 
     /// Periodic housekeeping (cache purge etc.). Tags are forwarded from
     /// the hosting node's timers. Default: no-op.
-    fn on_tick(&mut self, _ctx: &mut MbContext<'_>, _tag: u64) -> Vec<FhMessage> {
-        Vec::new()
-    }
+    fn on_tick(&mut self, _ctx: &mut MbContext<'_>, _tag: u64, _out: &mut Vec<FhMessage>) {}
 
     /// Estimate the unit of [`Work`] processing `msg` costs, and where that
     /// work runs under an XDP deployment (paper Table 1). Used by the
@@ -81,22 +86,24 @@ pub trait Middlebox: 'static {
         (Work::Forward, XdpPlacement::Kernel)
     }
 
-    /// Dispatch on the message plane. Not meant to be overridden.
-    fn handle(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+    /// Dispatch `msg` to the handler of its plane — the datapath entry
+    /// point. `out` is the caller's reusable buffer, empty on entry when
+    /// the caller is [`crate::pipeline::MbPipeline`]. Not meant to be
+    /// overridden.
+    fn handle_into(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         match msg.body {
-            Body::CPlane(_) => self.on_cplane(ctx, msg),
-            Body::UPlane(_) => self.on_uplane(ctx, msg),
-            Body::Recovery(_) => self.on_recovery(ctx, msg),
+            Body::CPlane(_) => self.on_cplane(ctx, msg, out),
+            Body::UPlane(_) => self.on_uplane(ctx, msg, out),
+            Body::Recovery(_) => self.on_recovery(ctx, msg, out),
         }
     }
 
-    /// Dispatch `msg` and append the messages to transmit to `out` — the
-    /// datapath entry point. The default delegates to [`Middlebox::handle`]
-    /// and moves the returned vector's elements over; allocation-sensitive
-    /// middleboxes override this to push straight into the caller's
-    /// reusable scratch buffer instead of building a fresh `Vec` per frame.
-    fn handle_into(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
-        out.append(&mut self.handle(ctx, msg));
+    /// [`Middlebox::handle_into`] with a fresh vector per call: a
+    /// convenience for tests. Not meant to be overridden.
+    fn handle(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+        let mut out = Vec::new();
+        self.handle_into(ctx, msg, &mut out);
+        out
     }
 }
 
@@ -107,32 +114,24 @@ impl Middlebox for Box<dyn Middlebox> {
         self.as_ref().name()
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.as_mut().on_cplane(ctx, msg)
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.as_mut().on_cplane(ctx, msg, out);
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.as_mut().on_uplane(ctx, msg)
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.as_mut().on_uplane(ctx, msg, out);
     }
 
-    fn on_recovery(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.as_mut().on_recovery(ctx, msg)
+    fn on_recovery(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.as_mut().on_recovery(ctx, msg, out);
     }
 
-    fn on_tick(&mut self, ctx: &mut MbContext<'_>, tag: u64) -> Vec<FhMessage> {
-        self.as_mut().on_tick(ctx, tag)
+    fn on_tick(&mut self, ctx: &mut MbContext<'_>, tag: u64, out: &mut Vec<FhMessage>) {
+        self.as_mut().on_tick(ctx, tag, out);
     }
 
     fn classify(&self, msg: &FhMessage) -> (Work, XdpPlacement) {
         self.as_ref().classify(msg)
-    }
-
-    fn handle(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.as_mut().handle(ctx, msg)
-    }
-
-    fn handle_into(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
-        self.as_mut().handle_into(ctx, msg, out);
     }
 }
 
@@ -153,6 +152,11 @@ impl Passthrough {
     ) -> Passthrough {
         Passthrough { name: name.into(), src, dst }
     }
+
+    fn forward(&self, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
+        actions::redirect(&mut msg, self.src, self.dst);
+        actions::emit(out, msg);
+    }
 }
 
 impl Middlebox for Passthrough {
@@ -160,27 +164,12 @@ impl Middlebox for Passthrough {
         &self.name
     }
 
-    fn on_cplane(&mut self, _ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
-        crate::actions::redirect(&mut msg, self.src, self.dst);
-        vec![msg]
+    fn on_cplane(&mut self, _ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.forward(msg, out);
     }
 
-    fn on_uplane(&mut self, _ctx: &mut MbContext<'_>, mut msg: FhMessage) -> Vec<FhMessage> {
-        crate::actions::redirect(&mut msg, self.src, self.dst);
-        vec![msg]
-    }
-
-    // Forwarding needs no per-plane dispatch and no return vector: push the
-    // redirected message straight into the pipeline's scratch. This keeps
-    // the plain-forwarding datapath allocation-free.
-    fn handle_into(
-        &mut self,
-        _ctx: &mut MbContext<'_>,
-        mut msg: FhMessage,
-        out: &mut Vec<FhMessage>,
-    ) {
-        crate::actions::redirect(&mut msg, self.src, self.dst);
-        out.push(msg);
+    fn on_uplane(&mut self, _ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.forward(msg, out);
     }
 }
 
@@ -246,13 +235,13 @@ mod tests {
             fn name(&self) -> &str {
                 "probe"
             }
-            fn on_cplane(&mut self, _: &mut MbContext<'_>, m: FhMessage) -> Vec<FhMessage> {
+            fn on_cplane(&mut self, _: &mut MbContext<'_>, m: FhMessage, out: &mut Vec<FhMessage>) {
                 self.c += 1;
-                vec![m]
+                out.push(m);
             }
-            fn on_uplane(&mut self, _: &mut MbContext<'_>, m: FhMessage) -> Vec<FhMessage> {
+            fn on_uplane(&mut self, _: &mut MbContext<'_>, m: FhMessage, out: &mut Vec<FhMessage>) {
                 self.u += 1;
-                vec![m]
+                out.push(m);
             }
         }
         let mut cache = SymbolCache::new(8);
@@ -277,17 +266,20 @@ mod tests {
     }
 
     #[test]
-    fn handle_into_matches_handle() {
+    fn handle_is_handle_into_with_a_fresh_vector() {
         let mut cache = SymbolCache::new(8);
         let telemetry = TelemetrySender::disconnected("t");
         let mut pt = Passthrough::new("pt", mac(10), mac(20));
         for msg in [cmsg(), umsg()] {
+            // `handle_into` appends: what the caller left in `out` stays.
+            let mut via_into = vec![msg.clone()];
+            pt.handle_into(&mut ctx(&mut cache, &telemetry), msg.clone(), &mut via_into);
             let via_handle = pt.handle(&mut ctx(&mut cache, &telemetry), msg.clone());
-            let mut via_into = Vec::new();
-            pt.handle_into(&mut ctx(&mut cache, &telemetry), msg, &mut via_into);
-            assert_eq!(via_into, via_handle);
+            assert_eq!(via_into[0], msg);
+            assert_eq!(via_into[1..], via_handle[..]);
+            assert_eq!(via_handle.len(), 1);
         }
-        // Boxed dispatch forwards the override too.
+        // A boxed middlebox goes through the same provided dispatch.
         let mut boxed: Box<dyn Middlebox> = Box::new(Passthrough::new("pt", mac(10), mac(20)));
         let mut out = Vec::new();
         boxed.handle_into(&mut ctx(&mut cache, &telemetry), cmsg(), &mut out);
@@ -300,7 +292,9 @@ mod tests {
         let mut cache = SymbolCache::new(8);
         let telemetry = TelemetrySender::disconnected("t");
         let mut pt = Passthrough::new("pt", mac(1), mac(2));
-        assert!(pt.on_tick(&mut ctx(&mut cache, &telemetry), 0).is_empty());
+        let mut out = Vec::new();
+        pt.on_tick(&mut ctx(&mut cache, &telemetry), 0, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

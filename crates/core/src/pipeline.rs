@@ -343,34 +343,32 @@ impl<M: Middlebox> MbPipeline<M> {
         }
         let class = TrafficClass::of(&msg);
         let fallback = self.mb.classify(&msg);
-        self.charges.clear();
-        let mut emits = std::mem::take(&mut self.emits);
-        emits.clear();
-        let mut ctx = MbContext {
-            now,
-            cache: &mut self.cache,
-            telemetry: &self.telemetry,
-            mapping: self.mapping,
-            charges: std::mem::take(&mut self.charges),
-        };
-        self.mb.handle_into(&mut ctx, msg, &mut emits);
-        self.charges = ctx.charges;
+        self.run_handler(now, emit, |mb, ctx, out| mb.handle_into(ctx, msg, out));
         // CPU accounting: prefer the work the handler reported; fall back
         // to the static classification.
         if self.charges.is_empty() {
             self.charges.push(fallback);
         }
-        for m in emits.drain(..) {
-            self.transmit(m, emit);
-        }
-        self.emits = emits;
         ProcessOutcome::Handled { class }
     }
 
     /// Deliver a timer tick to the middlebox, transmitting whatever it
     /// emits (watchdog reports, purge notifications).
     pub fn tick(&mut self, now: SimTime, tag: u64, emit: &mut dyn FnMut(&[u8])) {
+        self.run_handler(now, emit, |mb, ctx, out| mb.on_tick(ctx, tag, out));
+    }
+
+    /// Run one handler entry point with a fresh charge ledger and the
+    /// (empty) emit scratch, then transmit what it emitted, in order.
+    fn run_handler(
+        &mut self,
+        now: SimTime,
+        emit: &mut dyn FnMut(&[u8]),
+        entry: impl FnOnce(&mut M, &mut MbContext<'_>, &mut Vec<FhMessage>),
+    ) {
         self.charges.clear();
+        // Drained below, so the scratch is empty whenever it is at rest.
+        let mut emits = std::mem::take(&mut self.emits);
         let mut ctx = MbContext {
             now,
             cache: &mut self.cache,
@@ -378,11 +376,12 @@ impl<M: Middlebox> MbPipeline<M> {
             mapping: self.mapping,
             charges: std::mem::take(&mut self.charges),
         };
-        let emits = self.mb.on_tick(&mut ctx, tag);
+        entry(&mut self.mb, &mut ctx, &mut emits);
         self.charges = ctx.charges;
-        for m in emits {
+        for m in emits.drain(..) {
             self.transmit(m, emit);
         }
+        self.emits = emits;
     }
 }
 
@@ -595,6 +594,120 @@ mod tests {
         // The data stream continues cleanly at 2.
         p.process(SimTime(0), &cplane_bytes(mac(10), 2), &mut sink);
         assert_eq!((p.stats.seq_gaps, p.stats.seq_dups), (0, 0));
+    }
+
+    /// Emits one tagged C-plane frame per `(dst, port)` of `plan` from
+    /// whichever entry point is called, and notes what it was handed.
+    struct Scripted {
+        plan: Vec<(EthernetAddress, u8)>,
+        calls: Vec<&'static str>,
+        leftovers: usize,
+    }
+
+    impl Scripted {
+        fn run(&mut self, entry: &'static str, out: &mut Vec<FhMessage>) {
+            self.calls.push(entry);
+            self.leftovers += out.len();
+            for (k, &(dst, port)) in self.plan.iter().enumerate() {
+                let tag = SectionFields::data(k as u16, 0, 10, 1);
+                let body = Body::CPlane(CPlaneRepr::single(
+                    Direction::Downlink,
+                    SymbolId::ZERO,
+                    CompressionMethod::BFP9,
+                    tag,
+                ));
+                // A stale stamp the pipeline must overwrite.
+                crate::actions::emit(out, FhMessage::new(mac(10), dst, Eaxc::port(port), 99, body));
+            }
+        }
+    }
+
+    impl Middlebox for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn on_cplane(&mut self, _: &mut MbContext<'_>, _: FhMessage, out: &mut Vec<FhMessage>) {
+            self.run("cplane", out);
+        }
+        fn on_uplane(&mut self, _: &mut MbContext<'_>, _: FhMessage, out: &mut Vec<FhMessage>) {
+            self.run("uplane", out);
+        }
+        fn on_recovery(&mut self, _: &mut MbContext<'_>, _: FhMessage, out: &mut Vec<FhMessage>) {
+            self.run("recovery", out);
+        }
+        fn on_tick(&mut self, _: &mut MbContext<'_>, _: u64, out: &mut Vec<FhMessage>) {
+            self.run("tick", out);
+        }
+    }
+
+    #[test]
+    fn every_entry_point_emits_in_order_into_an_empty_buffer() {
+        use rb_fronthaul::iq::Prb;
+        use rb_fronthaul::recovery::RecoveryRepr;
+        use rb_fronthaul::uplane::{UPlaneRepr, USection};
+
+        let wire = |body: Body| {
+            FhMessage::new(mac(1), mac(10), Eaxc::port(0), 0, body)
+                .to_bytes(&EaxcMapping::DEFAULT)
+                .unwrap()
+        };
+        let section = USection::from_prbs(0, 0, &[Prb::ZERO], CompressionMethod::BFP9).unwrap();
+        let inputs = [
+            ("cplane", Some(cplane_bytes(mac(10), 0))),
+            (
+                "uplane",
+                Some(wire(Body::UPlane(UPlaneRepr::single(
+                    Direction::Uplink,
+                    SymbolId::ZERO,
+                    section,
+                )))),
+            ),
+            ("recovery", Some(wire(Body::Recovery(RecoveryRepr::nack(Direction::Uplink, 3, 1))))),
+            ("tick", None),
+        ];
+        // 0, 1 and N frames; N revisits a stream and interleaves another
+        // destination and another eAxC.
+        let plans: [Vec<(EthernetAddress, u8)>; 3] = [
+            vec![],
+            vec![(mac(20), 0)],
+            vec![(mac(20), 0), (mac(21), 0), (mac(20), 1), (mac(20), 0)],
+        ];
+        let scripted = Scripted { plan: Vec::new(), calls: Vec::new(), leftovers: 0 };
+        let mut p = MbPipeline::new(scripted, mac(10));
+        let mut next_seq: HashMap<(EthernetAddress, u8), u8> = HashMap::new();
+        let mut calls = Vec::new();
+        for (entry, frame) in &inputs {
+            for plan in &plans {
+                p.middlebox_mut().plan.clone_from(plan);
+                let mut got = Vec::new();
+                let mut emit = |bytes: &[u8]| {
+                    let m = FhMessage::parse(bytes, &EaxcMapping::DEFAULT).unwrap();
+                    let tag = m.as_cplane().unwrap().sections.common_fields()[0].section_id;
+                    got.push((tag, m.eth.dst, m.eaxc.ru_port, m.seq_id));
+                };
+                match frame {
+                    Some(frame) => {
+                        let outcome = p.process(SimTime(0), frame, &mut emit);
+                        assert!(matches!(outcome, ProcessOutcome::Handled { .. }), "{entry}");
+                    }
+                    None => p.tick(SimTime(0), 7, &mut emit),
+                }
+                calls.push(*entry);
+                let want: Vec<_> = plan
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(dst, port))| {
+                        let seq = next_seq.entry((dst, port)).or_insert(0);
+                        *seq += 1;
+                        (k as u16, dst, port, *seq - 1)
+                    })
+                    .collect();
+                assert_eq!(got, want, "{entry} emitting {} frame(s)", plan.len());
+            }
+        }
+        assert_eq!(p.middlebox().calls, calls, "one dispatch per call, by plane");
+        assert_eq!(p.middlebox().leftovers, 0, "`out` is empty on entry");
+        assert_eq!(p.stats.tx, 4 * 5);
     }
 
     #[test]

@@ -142,14 +142,19 @@ impl TelemetrySender {
         }
     }
 
-    /// Shorthand for a counter bump.
+    /// Shorthand for a counter bump. Free when no receiver is attached:
+    /// the owned name is only built for a record that can be enqueued.
     pub fn count(&self, at_ns: u64, name: &str, delta: u64) {
-        self.emit(at_ns, TelemetryEvent::Counter { name: name.to_string(), delta });
+        if self.tx.is_some() {
+            self.emit(at_ns, TelemetryEvent::Counter { name: name.to_string(), delta });
+        }
     }
 
-    /// Shorthand for a gauge reading.
+    /// Shorthand for a gauge reading; free when no receiver is attached.
     pub fn gauge(&self, at_ns: u64, name: &str, value: f64) {
-        self.emit(at_ns, TelemetryEvent::Gauge { name: name.to_string(), value });
+        if self.tx.is_some() {
+            self.emit(at_ns, TelemetryEvent::Gauge { name: name.to_string(), value });
+        }
     }
 
     /// Records discarded because the channel was full (or the receiver was

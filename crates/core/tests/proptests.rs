@@ -1,8 +1,9 @@
 //! Property tests over the framework invariants: the symbol cache never
 //! exceeds its capacity and never loses messages it did not evict; the
-//! forwarding table is first-match-wins; replication preserves payloads;
-//! the pipeline survives arbitrarily mangled frames without emitting; the
-//! in-place IQ sum equals a decode-everything reference.
+//! forwarding table is first-match-wins; replication preserves everything
+//! but the addressing; the pipeline survives arbitrarily mangled frames
+//! without emitting; the in-place IQ sum equals a decode-everything
+//! reference.
 
 // Test code is exempt from the crate's panic-vector denies.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
@@ -167,17 +168,19 @@ proptest! {
     }
 
     #[test]
-    fn replicate_preserves_body_and_orders_destinations(
-        n in 1usize..8,
+    fn replicate_into_emits_the_input_once_per_destination_in_order(
+        n in 0usize..8,
     ) {
         let original = msg(1);
         let dsts: Vec<EthernetAddress> = (0..n as u8).map(|k| mac(50 + k)).collect();
-        let copies = actions::replicate(&original, mac(42), &dsts);
-        prop_assert_eq!(copies.len(), n);
-        for (k, c) in copies.iter().enumerate() {
-            prop_assert_eq!(c.eth.dst, dsts[k]);
-            prop_assert_eq!(c.eth.src, mac(42));
-            prop_assert_eq!(&c.body, &original.body);
+        let mut copies = Vec::new();
+        actions::replicate_into(original.clone(), mac(42), &dsts, &mut copies);
+        prop_assert_eq!(copies.len(), n, "zero destinations emit nothing");
+        for (c, &dst) in copies.iter().zip(&dsts) {
+            // Equal to the input except `eth.src`/`eth.dst`.
+            let mut want = original.clone();
+            actions::redirect(&mut want, mac(42), dst);
+            prop_assert_eq!(c, &want);
         }
     }
 

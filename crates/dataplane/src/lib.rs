@@ -27,8 +27,6 @@
 //! * [`stats`] — per-worker counters plus batch-size / queue-depth
 //!   histograms, exported over `rb_core::telemetry` and mergeable at
 //!   join time so aggregation never shares a counter across threads;
-//! * [`affinity`] — best-effort worker→core pinning (feature `affinity`)
-//!   plus the `host_cores` probe that gates every scaling claim;
 //! * [`chaos`] — a deterministic fault-injection wrapper over any
 //!   backend: seeded drop / duplicate / reorder / truncate / corrupt /
 //!   jitter plus timed outages, replayable from a `(seed, config)` pair;
@@ -37,13 +35,12 @@
 //!   striping for aggregate capacity.
 
 #![deny(missing_docs)]
-// Safety wall: without the live-NIC backend or core pinning, `unsafe` is
-// unconditionally forbidden. The `af_packet` / `affinity` features lower
-// the gate to `deny` so exactly the audited FFI islands — `afpacket` and
-// `affinity::imp` — can opt out with a scoped `allow`; everything else in
-// the crate still cannot.
-#![cfg_attr(not(any(feature = "af_packet", feature = "affinity")), forbid(unsafe_code))]
-#![cfg_attr(any(feature = "af_packet", feature = "affinity"), deny(unsafe_code))]
+// Safety wall: without the live-NIC backend, `unsafe` is unconditionally
+// forbidden. The `af_packet` feature lowers the gate to `deny` so exactly
+// the one audited FFI island — `afpacket` — can opt out with a scoped
+// `allow`; everything else in the crate still cannot.
+#![cfg_attr(not(feature = "af_packet"), forbid(unsafe_code))]
+#![cfg_attr(feature = "af_packet", deny(unsafe_code))]
 // The manifest denies clippy's panic-vector lints crate-wide; unit tests are
 // exempt — asserting and unwrapping is what tests are for.
 #![cfg_attr(
@@ -51,7 +48,6 @@
     allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)
 )]
 
-pub mod affinity;
 #[cfg(feature = "af_packet")]
 pub mod afpacket;
 pub mod bond;

@@ -42,11 +42,6 @@ pub struct RuntimeConfig {
     /// A management rule table shared across all workers. `None` gives
     /// every worker its own (empty) table — the lock-free default.
     pub rules: Option<SharedRules>,
-    /// Pin worker `i` to CPU core `i` at spawn (best-effort; requires the
-    /// `affinity` feature on Linux). Whether each pin took is reported in
-    /// `WorkerReport::pinned` — consumers measuring scaling should demand
-    /// all-pinned before believing a speedup.
-    pub pin_cores: bool,
     /// Outgoing eCPRI sequence-number policy for every worker pipeline.
     /// The default [`SeqMode::Restamp`] keeps per-`(dst, eAxC)` counters
     /// *per worker instance*, so when two input flows emit towards the
@@ -69,7 +64,6 @@ impl RuntimeConfig {
             mapping: EaxcMapping::DEFAULT,
             telemetry: None,
             rules: None,
-            pin_cores: false,
             seq_mode: SeqMode::default(),
         }
     }
@@ -89,12 +83,6 @@ impl RuntimeConfig {
     /// Attach a telemetry sender.
     pub fn with_telemetry(mut self, telemetry: TelemetrySender) -> RuntimeConfig {
         self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Ask for worker→core pinning (see [`RuntimeConfig::pin_cores`]).
-    pub fn with_pinned_cores(mut self, pin: bool) -> RuntimeConfig {
-        self.pin_cores = pin;
         self
     }
 
@@ -142,12 +130,6 @@ impl RuntimeReport {
             t.merge(&w.stats);
         }
         t
-    }
-
-    /// Were all workers pinned to their cores? (Vacuously false for a
-    /// report with no workers.) Scaling claims should require this.
-    pub fn all_pinned(&self) -> bool {
-        !self.workers.is_empty() && self.workers.iter().all(|w| w.pinned)
     }
 
     /// Sum of the per-worker pipeline statistics.
@@ -217,17 +199,9 @@ impl Runtime {
                 }
                 None => TelemetrySender::disconnected(format!("dp/w{id}")),
             };
-            let pin_cores = cfg.pin_cores;
-            let join =
-                std::thread::Builder::new().name(format!("rb-dp-w{id}")).spawn(move || {
-                    // Pin before the first dequeue so the whole hot loop runs
-                    // on one core; the affinity call stays outside worker::run
-                    // and therefore off the hot-path lint call graph.
-                    let pinned = pin_cores && crate::affinity::pin_current_to(id);
-                    let mut rep = worker::run(id, pipeline, in_rx, out_tx, batch, telemetry);
-                    rep.pinned = pinned;
-                    rep
-                })?;
+            let join = std::thread::Builder::new()
+                .name(format!("rb-dp-w{id}"))
+                .spawn(move || worker::run(id, pipeline, in_rx, out_tx, batch, telemetry))?;
             in_rings.push(in_tx);
             handles.push(WorkerHandle { join, out: out_rx });
         }
@@ -480,7 +454,6 @@ mod tests {
         let agg = report.worker_totals();
         assert_eq!(agg.rx, 100);
         assert_eq!(agg.tx, totals.tx);
-        assert!(!report.all_pinned(), "pinning was not requested");
     }
 
     #[test]

@@ -188,11 +188,6 @@ pub fn export_pipeline(stats: &HostStats, telemetry: &TelemetrySender, at_ns: u6
 pub struct WorkerReport {
     /// Worker index (0-based).
     pub id: usize,
-    /// Whether the worker thread was successfully pinned to its CPU core
-    /// (always `false` unless `RuntimeConfig::pin_cores` asked for it and
-    /// the `affinity` feature + platform could deliver). Scaling numbers
-    /// measured with any worker unpinned are scheduler anecdotes.
-    pub pinned: bool,
     /// Runtime-level counters and histograms.
     pub stats: WorkerStats,
     /// Pipeline-level counters (parses, MAC filtering, rule drops…).

@@ -93,10 +93,7 @@ pub fn run<M: Middlebox>(
         telemetry.count(last_at_ns, "telemetry_dropped", telemetry.dropped());
     }
     tx.close();
-    // `pinned` is owned by the spawner: pinning happens on the worker
-    // thread *before* this loop starts (see `Runtime::run`), keeping the
-    // affinity call off the hot-path call graph.
-    WorkerReport { id, pinned: false, stats, pipeline: pipeline.stats }
+    WorkerReport { id, stats, pipeline: pipeline.stats }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! cargo run --release --example fhdump
 //! ```
 
+use ranbooster::core::actions;
 use ranbooster::core::middlebox::{MbContext, Middlebox};
 use ranbooster::fronthaul::dissect::dissect_message;
 use ranbooster::fronthaul::eaxc::EaxcMapping;
@@ -26,13 +27,13 @@ impl Middlebox for Tap {
     fn name(&self) -> &str {
         "tap"
     }
-    fn on_cplane(&mut self, _ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+    fn on_cplane(&mut self, _ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         self.keep(&msg);
-        self.forward(msg)
+        actions::emit(out, Self::forward(msg));
     }
-    fn on_uplane(&mut self, _ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+    fn on_uplane(&mut self, _ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         self.keep(&msg);
-        self.forward(msg)
+        actions::emit(out, Self::forward(msg));
     }
 }
 
@@ -59,18 +60,12 @@ impl Tap {
         }
     }
 
-    fn forward(&self, mut msg: FhMessage) -> Vec<FhMessage> {
+    fn forward(mut msg: FhMessage) -> FhMessage {
         // Inline tap between one DU and one RU: flip by source.
-        let (src, dst) = if msg.eth.src == du_mac(0) {
-            (msg.eth.src, ru_mac(0))
-        } else {
-            (msg.eth.src, du_mac(0))
-        };
-        let mb = msg.eth.dst; // our own address, becomes the source
-        msg.eth.src = mb;
+        let dst = if msg.eth.src == du_mac(0) { ru_mac(0) } else { du_mac(0) };
+        msg.eth.src = msg.eth.dst; // our own address becomes the source
         msg.eth.dst = dst;
-        let _ = src;
-        vec![msg]
+        msg
     }
 }
 

@@ -17,11 +17,12 @@
 //! cross-flow state), a frame is handled identically whether the city
 //! runs on one worker or sixteen.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use rb_apps::das::{Das, DasConfig, DasStats};
 use rb_apps::dmimo::{Dmimo, DmimoConfig, PhysicalRu};
 use rb_apps::rushare::{RuShare, RuShareConfig, SharedDu};
+use rb_core::actions;
 use rb_core::middlebox::{MbContext, Middlebox};
 use rb_fronthaul::eaxc::EaxcMapping;
 use rb_fronthaul::ether::EthernetAddress;
@@ -47,18 +48,18 @@ pub struct CellFwd {
 }
 
 impl CellFwd {
-    fn forward(&mut self, mut msg: FhMessage) -> Vec<FhMessage> {
+    fn forward(&mut self, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
         let dst = if msg.eth.src == self.du {
             self.ru
         } else if msg.eth.src == self.ru {
             self.du
         } else {
             self.unknown_src += 1;
-            return Vec::new();
+            return;
         };
         self.forwarded += 1;
-        rb_core::actions::redirect(&mut msg, self.gw, dst);
-        vec![msg]
+        actions::redirect(&mut msg, self.gw, dst);
+        actions::emit(out, msg);
     }
 }
 
@@ -67,12 +68,12 @@ impl Middlebox for CellFwd {
         "cellfwd"
     }
 
-    fn on_cplane(&mut self, _ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.forward(msg)
+    fn on_cplane(&mut self, _ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.forward(msg, out);
     }
 
-    fn on_uplane(&mut self, _ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.forward(msg)
+    fn on_uplane(&mut self, _ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.forward(msg, out);
     }
 }
 
@@ -95,29 +96,31 @@ pub struct ChainMb {
 }
 
 impl ChainMb {
+    /// `out` is the hop queue: everything before the cursor has left the
+    /// chain; an internal message at the cursor is taken out and handed to
+    /// its stage, whose outputs join the back of the queue.
     fn handle_chain(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
-        let mut queue: VecDeque<FhMessage> = if self.dus.contains(&msg.eth.src) {
-            self.rushare.handle(ctx, msg).into()
+        let mut cursor = out.len();
+        if self.dus.contains(&msg.eth.src) {
+            self.rushare.handle_into(ctx, msg, out);
         } else {
-            self.das.handle(ctx, msg).into()
-        };
+            self.das.handle_into(ctx, msg, out);
+        }
         let mut hops = 0u32;
-        while let Some(m) = queue.pop_front() {
-            if m.eth.dst != self.a && m.eth.dst != self.b {
-                out.push(m);
+        while let Some(dst) = out.get(cursor).map(|m| m.eth.dst) {
+            if dst != self.a && dst != self.b {
+                cursor += 1;
                 continue;
             }
+            let m = out.remove(cursor);
             hops += 1;
             if hops > 256 {
                 self.dropped_loops += 1;
-                continue;
-            }
-            let stage_out = if m.eth.dst == self.a {
-                self.rushare.handle(ctx, m)
+            } else if dst == self.a {
+                self.rushare.handle_into(ctx, m, out);
             } else {
-                self.das.handle(ctx, m)
-            };
-            queue.extend(stage_out);
+                self.das.handle_into(ctx, m, out);
+            }
         }
     }
 }
@@ -302,21 +305,17 @@ impl CityMb {
         Some(site)
     }
 
-    fn dispatch(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
+    fn dispatch(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         let Some(idx) = self.route_of(&msg) else {
             self.unknown_route += 1;
-            return Vec::new();
+            return;
         };
         match &mut self.sites[idx] {
-            SiteMb::Cell(f) => f.handle(ctx, msg),
-            SiteMb::Das(d) => d.handle(ctx, msg),
-            SiteMb::Dmimo(d) => d.handle(ctx, msg),
-            SiteMb::RuShare(r) => r.handle(ctx, msg),
-            SiteMb::Chain(c) => {
-                let mut out = Vec::new();
-                c.handle_chain(ctx, msg, &mut out);
-                out
-            }
+            SiteMb::Cell(f) => f.handle_into(ctx, msg, out),
+            SiteMb::Das(d) => d.handle_into(ctx, msg, out),
+            SiteMb::Dmimo(d) => d.handle_into(ctx, msg, out),
+            SiteMb::RuShare(r) => r.handle_into(ctx, msg, out),
+            SiteMb::Chain(c) => c.handle_chain(ctx, msg, out),
         }
     }
 }
@@ -326,12 +325,12 @@ impl Middlebox for CityMb {
         "city"
     }
 
-    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.dispatch(ctx, msg)
+    fn on_cplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.dispatch(ctx, msg, out);
     }
 
-    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage) -> Vec<FhMessage> {
-        self.dispatch(ctx, msg)
+    fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.dispatch(ctx, msg, out);
     }
 }
 
