@@ -130,7 +130,8 @@ impl SecMon {
             }
         }
         // Sequence-gap accounting (replay/injection indicator, not a drop:
-        // reordering happens legitimately under chaining).
+        // reordering happens legitimately under chaining). Stricter than
+        // `ecpri::seq_step` on purpose: anything but the successor counts.
         let key = (msg.eth.src, msg.eaxc.pack(&ctx.mapping));
         if let Some(prev) = self.last_seq.insert(key, msg.seq_id) {
             if msg.seq_id != prev.wrapping_add(1) {

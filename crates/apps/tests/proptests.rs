@@ -7,7 +7,10 @@
 //! * RU-sharing placement puts every DU PRB at its exact spectral
 //!   position for any aligned offset, and subcarrier-exactly for any
 //!   misaligned one;
-//! * the PRB monitor's estimate equals a manual exponent count.
+//! * the PRB monitor's estimate equals a manual exponent count;
+//! * the three per-stream sequence trackers (pipeline gap counter, ARQ
+//!   receive tracker, bond dedup window) classify every `(last, seq)`
+//!   pair the way `ecpri::seq_step` does.
 
 use proptest::prelude::*;
 
@@ -16,11 +19,13 @@ use rb_apps::dmimo::{Dmimo, DmimoConfig, PhysicalRu, SsbBand};
 use rb_apps::prbmon::{PrbMon, PrbMonConfig};
 use rb_apps::rushare::{Alignment, CarrierSpec, RuShare, RuShareConfig, SharedDu};
 use rb_core::cache::SymbolCache;
-use rb_core::middlebox::{MbContext, Middlebox};
+use rb_core::middlebox::{MbContext, Middlebox, Passthrough};
+use rb_core::pipeline::MbPipeline;
 use rb_core::telemetry::TelemetrySender;
 use rb_fronthaul::bfp::CompressionMethod;
 use rb_fronthaul::cplane::{CPlaneRepr, SectionFields};
 use rb_fronthaul::eaxc::{Eaxc, EaxcMapping};
+use rb_fronthaul::ecpri::{seq_step, SeqStep};
 use rb_fronthaul::ether::EthernetAddress;
 use rb_fronthaul::freq;
 use rb_fronthaul::iq::{IqSample, Prb, SAMPLES_PER_PRB};
@@ -29,6 +34,8 @@ use rb_fronthaul::timing::SymbolId;
 use rb_fronthaul::uplane::{UPlaneRepr, USection};
 use rb_fronthaul::Direction;
 use rb_netsim::time::SimTime;
+use rb_recover::arq::{GapVerdict, RxTracker};
+use rb_recover::dedup::DedupWindow;
 
 fn mac(last: u8) -> EthernetAddress {
     EthernetAddress::new(2, 0, 0, 0, 0, last)
@@ -272,5 +279,46 @@ proptest! {
             .find(|r| r.direction == Direction::Downlink)
             .expect("flushed");
         prop_assert_eq!(dl_report.utilized_prbs, manual);
+    }
+
+    #[test]
+    fn seq_trackers_agree_with_seq_step(last in any::<u8>()) {
+        // One pipeline, one stream (source MAC) per candidate `seq`.
+        let mut pipe = MbPipeline::new(Passthrough::new("pt", mac(10), mac(20)), mac(10));
+        let (mut gaps, mut dups) = (0u64, 0u64);
+        for seq in 0..=u8::MAX {
+            let step = seq_step(last, seq);
+            for s in [last, seq] {
+                let mut m = ul_msg(mac(seq), &[Prb::ZERO]);
+                m.seq_id = s;
+                pipe.process(SimTime(0), &m.to_bytes(&EaxcMapping::DEFAULT).unwrap(), &mut |_| {});
+            }
+            match step {
+                SeqStep::Next => {}
+                SeqStep::Ahead { skipped } => gaps += u64::from(skipped),
+                SeqStep::Repeat | SeqStep::Behind => dups += 1,
+            }
+            prop_assert_eq!((pipe.stats.seq_gaps, pipe.stats.seq_dups), (gaps, dups), "seq {}", seq);
+
+            let mut t = RxTracker::new();
+            t.observe(last);
+            let verdict = match step {
+                SeqStep::Next => GapVerdict::InOrder,
+                SeqStep::Ahead { skipped } => {
+                    GapVerdict::Ahead { first: last.wrapping_add(1), count: skipped }
+                }
+                SeqStep::Repeat | SeqStep::Behind => GapVerdict::Duplicate,
+            };
+            prop_assert_eq!(t.observe(seq), verdict, "seq {}", seq);
+
+            let mut w = DedupWindow::new();
+            w.admit(last);
+            let (fresh, newest) = match step {
+                SeqStep::Repeat => (false, last),
+                SeqStep::Behind => (true, last), // a late first copy: the edge stays
+                SeqStep::Next | SeqStep::Ahead { .. } => (true, seq),
+            };
+            prop_assert_eq!((w.admit(seq), w.newest()), (fresh, newest), "seq {}", seq);
+        }
     }
 }

@@ -10,45 +10,7 @@
 
 use rb_bench::experiments;
 
-/// A counting global allocator: delegates to the system allocator and
-/// reports every allocation to `rb_bench::alloc_count`, which the
-/// `dataplane` experiment reads to measure allocations per frame on the
-/// pooled packet path. Counting is one relaxed atomic increment — cheap
-/// enough to leave on for every experiment.
-mod counting_alloc {
-    use std::alloc::{GlobalAlloc, Layout, System};
-
-    pub struct CountingAlloc;
-
-    // SAFETY: pure delegation to `System`; the only addition is a
-    // side-effect-free atomic counter bump.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            rb_bench::alloc_count::record();
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            rb_bench::alloc_count::record();
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            rb_bench::alloc_count::record();
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-}
-
-#[global_allocator]
-static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
-
 fn main() {
-    rb_bench::alloc_count::note_installed();
     let mut args: Vec<String> = Vec::new();
     let mut scenario: Option<String> = None;
     let mut raw = std::env::args().skip(1);

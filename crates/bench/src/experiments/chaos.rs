@@ -32,7 +32,7 @@ use rb_core::middlebox::{MbContext, Middlebox};
 use rb_core::pipeline::MbPipeline;
 use rb_core::telemetry::{channel, TelemetryEvent, TelemetrySender};
 use rb_dataplane::bond::{BondMode, BondedIo};
-use rb_dataplane::chaos::{ChaosConfig, ChaosIo, ChaosRng, Impairments, Outage};
+use rb_dataplane::chaos::{ChaosConfig, ChaosIo, Impairments, Outage};
 use rb_dataplane::io::{FrameIo, Loopback, MemReplay, RawFrame, RxPoll};
 use rb_dataplane::runtime::{Runtime, RuntimeConfig};
 use rb_fronthaul::bfp::CompressionMethod;
@@ -45,6 +45,7 @@ use rb_fronthaul::pcap::PcapWriter;
 use rb_fronthaul::timing::SymbolId;
 use rb_fronthaul::uplane::{UPlaneRepr, USection};
 use rb_fronthaul::Direction;
+use rb_netsim::rng::SplitMix64;
 use rb_netsim::time::{SimDuration, SimTime};
 use rb_recover::fec::FecConfig;
 
@@ -289,7 +290,7 @@ fn measure_recovery(
     let mut arq_rx =
         scheme.arq.then(|| ArqReceiver::new("bench-arq-rx", mac(ARQ_RX), mac(SINK), mac(ARQ_TX)));
 
-    let mut rng = ChaosRng::new(SEED);
+    let mut rng = SplitMix64::new(SEED);
     let mut cache = SymbolCache::new(64);
     let tele = TelemetrySender::disconnected("bench-recovery");
     let mapping = EaxcMapping::DEFAULT;
@@ -335,7 +336,7 @@ fn measure_recovery(
                       dropped: &mut Vec<(u8, u8)>,
                       holdback: &mut Vec<(usize, FhMessage)>,
                       cache: &mut SymbolCache,
-                      rng: &mut ChaosRng| {
+                      rng: &mut SplitMix64| {
         let mut queue = vec![msg];
         while let Some(m) = queue.pop() {
             if m.eth.dst != mac(lossy_dst) {

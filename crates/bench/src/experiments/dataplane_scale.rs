@@ -15,7 +15,6 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use rb_apps::das::{Das, DasConfig};
-use rb_core::middlebox::Passthrough;
 use rb_dataplane::io::MemReplay;
 use rb_dataplane::runtime::{Runtime, RuntimeConfig};
 use rb_fronthaul::bfp::CompressionMethod;
@@ -29,7 +28,6 @@ use rb_fronthaul::timing::SymbolId;
 use rb_fronthaul::uplane::{UPlaneRepr, USection};
 use rb_fronthaul::Direction;
 
-use crate::alloc_count;
 use crate::report::Report;
 
 /// Those of 1, 2 and 4 workers that a host with `host_cores` cores can run
@@ -146,107 +144,12 @@ fn measure(cap: &[u8], workers: usize, reps: u32) -> Run {
     best.expect("reps >= 1")
 }
 
-/// Replay a pure-forwarding workload (Passthrough, discard sink, one
-/// worker) and count heap allocations across the run. The capture is
-/// built *outside* the counted region; the default 1024-slot rings bound
-/// the in-flight window so warm-up state is identical across run lengths.
-fn run_passthrough(rounds: u32) -> (u64, u64) {
-    let cap = capture(rounds);
-    let mut io = MemReplay::from_bytes(cap).expect("valid capture").discard_tx();
-    let cfg = RuntimeConfig::new(mac(10));
-    let before = alloc_count::current();
-    let report = Runtime::run(&cfg, &mut io, |_| Passthrough::new("pt", mac(10), mac(20)))
-        .expect("replay never fails");
-    (alloc_count::current().saturating_sub(before), report.pipeline_totals().rx)
-}
-
-/// Steady-state heap allocations per forwarded frame, measured
-/// differentially: one run at N rounds, one at 2N, then
-/// `(allocs₂ − allocs₁) / (frames₂ − frames₁)`. Subtracting cancels the
-/// fixed costs both runs share — thread spawn, ring and scratch setup,
-/// pool warm-up — leaving only what scales with frame count. `None` when
-/// no counting allocator is installed (unit tests, other binaries).
-///
-/// N must be large enough that pool warm-up *completes within the
-/// shorter run*: pooled buffers start at zero capacity and grow to the
-/// working frame size over their first few uses, and on an overloaded
-/// single-core host the worker only processes a trickle of the replay,
-/// so ~1k pool buffers need several thousand forwarded frames before
-/// the last of them stops re-allocating. 8k rounds is comfortably past
-/// that on a starved 1-core host while still sub-second, so quick mode
-/// uses the same length rather than a shorter, warm-up-polluted one.
-fn measure_allocs(_quick: bool) -> Option<f64> {
-    if !alloc_count::installed() {
-        return None;
-    }
-    let n = 8_000;
-    let (allocs_1, frames_1) = run_passthrough(n);
-    let (allocs_2, frames_2) = run_passthrough(2 * n);
-    let frames = frames_2.saturating_sub(frames_1);
-    if frames == 0 {
-        return None;
-    }
-    Some(allocs_2.saturating_sub(allocs_1) as f64 / frames as f64)
-}
-
-/// Measure the egress sink's per-frame vs batched transmit cost: the
-/// same frames pushed one `tx` at a time, then again through `tx_batch`
-/// in collector-sized batches. This isolates what `Runtime::drain`
-/// gained by handing whole batches to the backend — the scaling runs
-/// above already *use* the batched path; this reports its amortization
-/// factor explicitly. Returns `(single_pps, batch_pps)`.
-fn measure_tx_batch(frames_n: usize) -> (f64, f64) {
-    use rb_dataplane::io::{FrameIo, RawFrame};
-    const BATCH: usize = 64;
-    let mk = |n: usize| -> Vec<RawFrame> {
-        (0..n).map(|k| RawFrame { at_ns: k as u64, bytes: vec![0u8; 320].into() }).collect()
-    };
-    let empty =
-        PcapWriter::new(Vec::new()).and_then(PcapWriter::finish).expect("in-memory pcap header");
-
-    let mut io = MemReplay::from_bytes(empty.clone()).expect("valid capture").discard_tx();
-    let frames = mk(frames_n);
-    let t0 = Instant::now();
-    for f in frames {
-        io.tx(f);
-    }
-    let single_pps = frames_n as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-
-    // Pre-chunk outside the timed region: on the runtime path the egress
-    // batch is already assembled when `drain` hands it to the sink, so
-    // the comparison is per-frame dispatch vs per-batch dispatch, not
-    // batch assembly.
-    let mut io = MemReplay::from_bytes(empty).expect("valid capture").discard_tx();
-    let mut frames = mk(frames_n).into_iter();
-    let mut batches: Vec<Vec<RawFrame>> = Vec::with_capacity(frames_n.div_ceil(BATCH));
-    loop {
-        let chunk: Vec<RawFrame> = frames.by_ref().take(BATCH).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        batches.push(chunk);
-    }
-    let t0 = Instant::now();
-    for batch in &mut batches {
-        io.tx_batch(batch);
-    }
-    let batch_pps = frames_n as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-    (single_pps, batch_pps)
-}
-
 /// Render `results/BENCH_dataplane.json` as hand-rolled JSON (no
 /// serializer dependency in the hot loop's way). Pure function of its
 /// inputs: `runs` holds only worker counts the host could run in parallel
 /// (see [`subscribable_worker_counts`]), so `scaling_curve` states every
 /// speedup there is to state.
-fn render_json(
-    runs: &[Run],
-    quick: bool,
-    host_cores: usize,
-    allocs_per_frame: Option<f64>,
-    tx_single_pps: f64,
-    tx_batch_pps: f64,
-) -> String {
+fn render_json(runs: &[Run], quick: bool, host_cores: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"experiment\": \"dataplane\",\n");
@@ -272,45 +175,21 @@ fn render_json(
         }
         let _ = write!(s, "{{\"workers\": {}, \"speedup_vs_1w\": {:.3}}}", r.workers, r.pps / base);
     }
-    s.push_str("],\n");
-    s.push_str(
-        "  \"alloc_workload\": \"passthrough forwarding, discard sink, 1 worker, \
-         differential over two run lengths\",\n",
-    );
-    match allocs_per_frame {
-        Some(a) => {
-            let _ = writeln!(s, "  \"allocs_per_frame\": {a:.6},");
-        }
-        None => s.push_str("  \"allocs_per_frame\": null,\n"),
-    }
-    s.push_str("  \"egress_path\": \"tx_batch\",\n");
-    let _ = writeln!(s, "  \"tx_single_pps\": {tx_single_pps:.0},");
-    let _ = writeln!(s, "  \"tx_batch_pps\": {tx_batch_pps:.0},");
-    let _ = writeln!(s, "  \"tx_batch_speedup\": {:.3}", tx_batch_pps / tx_single_pps.max(1e-9));
+    s.push_str("]\n");
     s.push_str("}\n");
     s
 }
 
 /// Write the rendered JSON to `results/BENCH_dataplane.json` at the
 /// repo root.
-fn write_json(
-    runs: &[Run],
-    quick: bool,
-    host_cores: usize,
-    allocs_per_frame: Option<f64>,
-    tx_single_pps: f64,
-    tx_batch_pps: f64,
-) -> std::io::Result<PathBuf> {
+fn write_json(runs: &[Run], quick: bool, host_cores: usize) -> std::io::Result<PathBuf> {
     let root = option_env!("CARGO_MANIFEST_DIR")
         .map(|m| PathBuf::from(m).join("../.."))
         .unwrap_or_else(|| PathBuf::from("."));
     let dir = root.join("results");
     std::fs::create_dir_all(&dir)?;
     let path = dir.join("BENCH_dataplane.json");
-    std::fs::write(
-        &path,
-        render_json(runs, quick, host_cores, allocs_per_frame, tx_single_pps, tx_batch_pps),
-    )?;
+    std::fs::write(&path, render_json(runs, quick, host_cores))?;
     Ok(path)
 }
 
@@ -343,29 +222,9 @@ pub fn run(quick: bool) -> Report {
             format!("{:.2}x", run.pps / base),
         ]);
     }
-    let allocs_per_frame = measure_allocs(quick);
-    let (tx_single_pps, tx_batch_pps) = measure_tx_batch(if quick { 20_000 } else { 200_000 });
-    match write_json(&runs, quick, cores, allocs_per_frame, tx_single_pps, tx_batch_pps) {
+    match write_json(&runs, quick, cores) {
         Ok(path) => r.note(format!("written to {}", path.display())),
         Err(e) => r.note(format!("could not write BENCH_dataplane.json: {e}")),
-    }
-    r.note(format!(
-        "egress is batched (Runtime::drain → FrameIo::tx_batch): sink-level \
-         amortization {:.2}x over per-frame tx ({:.2} vs {:.2} Mpps)",
-        tx_batch_pps / tx_single_pps.max(1e-9),
-        tx_batch_pps / 1e6,
-        tx_single_pps / 1e6,
-    ));
-    match allocs_per_frame {
-        Some(a) => r.note(format!(
-            "pooled packet path: {a:.4} heap allocations per forwarded frame \
-             after warm-up (differential passthrough measurement)"
-        )),
-        None => r.note(
-            "allocs_per_frame not measured (no counting allocator in this \
-             process; run via the repro binary)"
-                .to_string(),
-        ),
     }
     let measured = runs.last().map_or(1, |r| r.workers);
     let speedup = runs.last().map_or(0.0, |r| r.pps) / base;
@@ -502,7 +361,7 @@ mod tests {
 
     #[test]
     fn serializer_states_every_run_once_on_the_scaling_curve() {
-        let s = render_json(&fake_runs(), false, 8, Some(0.25), 1.0e6, 2.0e6);
+        let s = render_json(&fake_runs(), false, 8);
         assert_eq!(s.matches("\"frames_processed\"").count(), 3, "{s}");
         assert!(
             s.contains(
@@ -512,10 +371,9 @@ mod tests {
             ),
             "{s}"
         );
-        assert!(s.contains("\"allocs_per_frame\": 0.250000"), "{s}");
-        assert!(s.ends_with("\"tx_batch_speedup\": 2.000\n}\n"), "{s}");
+        assert!(s.ends_with("]\n}\n"), "{s}");
         // A 2-core host only hands over two runs; nothing is synthesised.
-        let s = render_json(&fake_runs()[..2], true, 2, None, 1.0e6, 2.0e6);
+        let s = render_json(&fake_runs()[..2], true, 2);
         assert!(
             s.contains(
                 "\"scaling_curve\": [{\"workers\": 1, \"speedup_vs_1w\": 1.000}, \
@@ -523,7 +381,6 @@ mod tests {
             ),
             "{s}"
         );
-        assert!(s.contains("\"allocs_per_frame\": null"), "{s}");
     }
 
     #[test]

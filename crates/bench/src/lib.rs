@@ -21,6 +21,5 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod alloc_count;
 pub mod experiments;
 pub mod report;

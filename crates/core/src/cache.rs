@@ -37,11 +37,35 @@ pub struct CacheKey {
     pub symbol: SymbolId,
 }
 
+/// The messages under one key, stamped with the insertion that created
+/// the key.
+#[derive(Debug)]
+struct Entry {
+    stamp: u64,
+    msgs: Vec<FhMessage>,
+}
+
+/// Whether the queue entry `(stamp, key)` still names a cached key.
+fn live(map: &HashMap<CacheKey, Entry>, stamp: u64, key: &CacheKey) -> bool {
+    map.get(key).is_some_and(|e| e.stamp == stamp)
+}
+
+/// Stale queue entries tolerated on top of twice the live keys before the
+/// queue is compacted.
+const STALE_SLACK: usize = 16;
+
 /// A bounded, insertion-ordered packet cache (action A3).
 #[derive(Debug)]
 pub struct SymbolCache {
-    map: HashMap<CacheKey, Vec<FhMessage>>,
-    order: VecDeque<CacheKey>,
+    map: HashMap<CacheKey, Entry>,
+    /// Keys in insertion order, each with the stamp of the insertion that
+    /// queued it. An entry whose key has since been taken or purged — or
+    /// taken and inserted again, under a newer stamp — is stale: eviction
+    /// skips it and `insert` compacts the queue once stale entries
+    /// outnumber live ones, so the queue stays O(live keys).
+    order: VecDeque<(u64, CacheKey)>,
+    /// Stamp of the most recent key-creating insertion.
+    stamp: u64,
     max_keys: usize,
     /// Keys evicted because the cache was full.
     pub evictions: u64,
@@ -54,7 +78,13 @@ impl SymbolCache {
     /// covers any of the paper's middleboxes.
     pub fn new(max_keys: usize) -> SymbolCache {
         assert!(max_keys >= 1);
-        SymbolCache { map: HashMap::new(), order: VecDeque::new(), max_keys, evictions: 0 }
+        SymbolCache {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            stamp: 0,
+            max_keys,
+            evictions: 0,
+        }
     }
 
     /// Number of live keys.
@@ -72,21 +102,28 @@ impl SymbolCache {
         if !self.map.contains_key(&key) {
             if self.map.len() >= self.max_keys {
                 // Evict the oldest still-live key.
-                while let Some(old) = self.order.pop_front() {
-                    if self.map.remove(&old).is_some() {
+                while let Some((stamp, old)) = self.order.pop_front() {
+                    if live(&self.map, stamp, &old) {
+                        self.map.remove(&old);
                         crate::telemetry::counters::bump(&mut self.evictions);
                         break;
                     }
                 }
             }
-            self.order.push_back(key);
+            if self.order.len() > self.map.len().saturating_mul(2).saturating_add(STALE_SLACK) {
+                let map = &self.map;
+                self.order.retain(|(stamp, k)| live(map, *stamp, k));
+            }
+            self.stamp = self.stamp.wrapping_add(1);
+            self.order.push_back((self.stamp, key));
         }
-        self.map.entry(key).or_default().push(msg);
+        let stamp = self.stamp;
+        self.map.entry(key).or_insert_with(|| Entry { stamp, msgs: Vec::new() }).msgs.push(msg);
     }
 
     /// Messages cached under `key` (empty slice if none).
     pub fn get(&self, key: &CacheKey) -> &[FhMessage] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
+        self.map.get(key).map(|e| e.msgs.as_slice()).unwrap_or(&[])
     }
 
     /// Number of messages cached under `key`.
@@ -96,7 +133,7 @@ impl SymbolCache {
 
     /// Remove and return every message cached under `key`.
     pub fn take(&mut self, key: &CacheKey) -> Vec<FhMessage> {
-        self.map.remove(key).unwrap_or_default()
+        self.map.remove(key).map(|e| e.msgs).unwrap_or_default()
     }
 
     /// Drop every entry whose symbol differs from `keep` across all
@@ -200,6 +237,46 @@ mod tests {
         cache.insert(key(2, s), msg(2));
         assert_eq!(cache.count(&key(1, s)), 1);
         assert_eq!(cache.count(&key(2, s)), 1);
+    }
+
+    #[test]
+    fn reinserted_key_is_the_newest_not_the_oldest() {
+        // Regression: `take` left the key's queue entry behind, so once A
+        // came back the stale front entry made a full cache evict A — the
+        // newest key — instead of B.
+        let mut cache = SymbolCache::new(2);
+        let s = SymbolId::ZERO;
+        let (a, b, c) = (key(0, s), key(1, s), key(2, s));
+        cache.insert(a, msg(0));
+        cache.take(&a);
+        cache.insert(b, msg(1));
+        cache.insert(a, msg(0));
+        cache.insert(c, msg(2));
+        assert_eq!(cache.evictions, 1);
+        assert_eq!(cache.count(&b), 0, "B is the oldest live key");
+        assert_eq!((cache.count(&a), cache.count(&c)), (1, 1));
+    }
+
+    #[test]
+    fn bookkeeping_stays_bounded_under_insert_take_cycles() {
+        // Regression: the DAS steady state (insert × N, take) grew the
+        // order queue by one key per merged symbol, forever.
+        let max_keys = 64;
+        let mut cache = SymbolCache::new(max_keys);
+        let pinned = key(99, SymbolId::ZERO); // a live key at the queue's front
+        cache.insert(pinned, msg(0));
+        let mut s = SymbolId::ZERO;
+        for _ in 0..10 * max_keys {
+            s = s.next(Numerology::Mu1);
+            for _ru in 0..3 {
+                cache.insert(key(0, s), msg(0));
+            }
+            assert_eq!(cache.take(&key(0, s)).len(), 3);
+            assert!(cache.order.len() <= 2 * cache.len() + STALE_SLACK + 1, "queue leaks");
+        }
+        assert_eq!(cache.evictions, 0);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.count(&pinned), 1);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use std::collections::HashMap;
 
 use rb_fronthaul::eaxc::EaxcMapping;
+use rb_fronthaul::ecpri::{self, SeqStep};
 use rb_fronthaul::ether::EthernetAddress;
 use rb_fronthaul::msg::{Body, FhMessage, MsgRecycler};
 use rb_fronthaul::Direction;
@@ -249,21 +250,14 @@ impl<M: Middlebox> MbPipeline<M> {
     /// position).
     fn observe_seq(&mut self, src: EthernetAddress, eaxc_raw: u16, dir: Direction, seq: u8) {
         match self.rx_seq.get_mut(&(src, eaxc_raw, dir)) {
-            Some(last) => {
-                let delta = seq.wrapping_sub(*last);
-                if delta == 1 {
+            Some(last) => match ecpri::seq_step(*last, seq) {
+                SeqStep::Next => *last = seq,
+                SeqStep::Ahead { skipped } => {
+                    counters::bump_by(&mut self.stats.seq_gaps, u64::from(skipped));
                     *last = seq;
-                } else if delta == 0 {
-                    counters::bump(&mut self.stats.seq_dups);
-                } else if delta <= 128 {
-                    // `delta` is in `2..=128` here, so the decrement
-                    // cannot underflow.
-                    counters::bump_by(&mut self.stats.seq_gaps, u64::from(delta).wrapping_sub(1));
-                    *last = seq;
-                } else {
-                    counters::bump(&mut self.stats.seq_dups);
                 }
-            }
+                SeqStep::Repeat | SeqStep::Behind => counters::bump(&mut self.stats.seq_dups),
+            },
             None => {
                 self.rx_seq.insert((src, eaxc_raw, dir), seq);
             }

@@ -14,10 +14,8 @@
 //! its packet rings.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-
-use crossbeam::channel::{bounded, Receiver, Sender};
-use serde::{Deserialize, Serialize};
 
 /// Default bound of a telemetry channel, in records. Deep enough to absorb
 /// a burst of per-packet events between consumer polls, small enough that
@@ -64,7 +62,7 @@ pub mod counters {
 }
 
 /// One telemetry event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent {
     /// A monotonically increasing counter changed by `delta`.
     Counter {
@@ -92,7 +90,7 @@ pub enum TelemetryEvent {
 }
 
 /// A timestamped, attributed telemetry record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryRecord {
     /// Name of the emitting middlebox.
     pub source: String,
@@ -109,7 +107,7 @@ pub struct TelemetryRecord {
 #[derive(Debug, Clone)]
 pub struct TelemetrySender {
     source: String,
-    tx: Option<Sender<TelemetryRecord>>,
+    tx: Option<SyncSender<TelemetryRecord>>,
     dropped: Arc<AtomicU64>,
 }
 
@@ -208,7 +206,7 @@ pub fn channel_with_capacity(
     source: impl Into<String>,
     capacity: usize,
 ) -> (TelemetrySender, TelemetryReceiver) {
-    let (tx, rx) = bounded(capacity.max(1));
+    let (tx, rx) = sync_channel(capacity.max(1));
     let dropped = Arc::new(AtomicU64::new(0));
     (
         TelemetrySender { source: source.into(), tx: Some(tx), dropped: Arc::clone(&dropped) },
@@ -299,14 +297,5 @@ mod tests {
         tx.count(0, "a", 1);
         tx2.count(1, "b", 1);
         assert_eq!(rx.drain().len(), 2);
-    }
-
-    #[test]
-    fn records_are_serializable() {
-        // Compile-time check that records satisfy the Serialize/Deserialize
-        // bounds external consumers rely on.
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<TelemetryRecord>();
-        assert_serde::<TelemetryEvent>();
     }
 }

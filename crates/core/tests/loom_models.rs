@@ -6,8 +6,8 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p rb-core --test loom_models --release
 //! ```
 //!
-//! Under `cfg(loom)` the crate's `sync` facade swaps `parking_lot` +
-//! std atomics for `rb-loom`'s instrumented shims, and
+//! Under `cfg(loom)` the crate's `sync` facade swaps its std lock and
+//! atomics for `rb-loom`'s instrumented shims, and
 //! [`rb_loom::model`] reruns each closure under **every** reachable
 //! interleaving of the shim operations — the generation load, the
 //! master-lock acquisitions, and the Release bump in the write guard's

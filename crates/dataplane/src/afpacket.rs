@@ -219,8 +219,6 @@ mod imp {
         /// open, pointers never outlive the call they are built for).
         iovecs: Vec<IoVec>,
         hdrs: Vec<MMsgHdr>,
-        /// Single-frame scratch backing the `tx` → `tx_batch` adapter.
-        tx_one: Vec<RawFrame>,
         epoch: Instant,
         stop: Arc<AtomicBool>,
         stopped_seen: bool,
@@ -338,7 +336,6 @@ mod imp {
                 rx_bufs: Vec::with_capacity(batch_cap),
                 iovecs: Vec::with_capacity(batch_cap),
                 hdrs: Vec::with_capacity(batch_cap),
-                tx_one: Vec::with_capacity(1),
                 epoch: Instant::now(),
                 stop: Arc::new(AtomicBool::new(false)),
                 stopped_seen: false,
@@ -455,15 +452,6 @@ mod imp {
             RxPoll::Ready(got)
         }
 
-        fn tx(&mut self, frame: RawFrame) -> bool {
-            let mut one = std::mem::take(&mut self.tx_one);
-            one.clear();
-            one.push(frame);
-            let sent = self.tx_batch(&mut one);
-            self.tx_one = one;
-            sent == 1
-        }
-
         fn tx_batch(&mut self, frames: &mut Vec<RawFrame>) -> usize {
             let total = frames.len();
             let mut sent_total = 0usize;
@@ -574,7 +562,7 @@ mod imp {
             match self.never {}
         }
 
-        fn tx(&mut self, _frame: RawFrame) -> bool {
+        fn tx_batch(&mut self, _frames: &mut Vec<RawFrame>) -> usize {
             match self.never {}
         }
     }

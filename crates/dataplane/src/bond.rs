@@ -73,19 +73,19 @@ fn bond_key(frame: &[u8]) -> Option<(BondKey, u8)> {
 /// Aggregate counters of a [`BondedIo`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BondStats {
-    /// Frames handed to [`FrameIo::tx`].
+    /// Frames handed to [`FrameIo::tx_batch`].
     pub tx_frames: u64,
     /// Frames delivered upstream by [`FrameIo::rx_batch`].
     pub rx_delivered: u64,
     /// Second copies dropped by the dedup window.
     pub dedup_drops: u64,
     /// Times the delivering link changed (dedup mode) or the striper
-    /// rotated/failed over (DWRR mode).
+    /// rotated (DWRR mode).
     pub link_switches: u64,
     /// Frames delivered without a dedup decision (non-eCPRI).
     pub unkeyed: u64,
-    /// Transmissions refused by both links (dedup) or by both the chosen
-    /// and the fallback link (DWRR).
+    /// Transmissions refused by both links (dedup) or by the link the
+    /// striper chose (DWRR).
     pub tx_failures: u64,
 }
 
@@ -314,48 +314,6 @@ impl<A: FrameIo, B: FrameIo> FrameIo for BondedIo<A, B> {
         }
     }
 
-    fn tx(&mut self, frame: RawFrame) -> bool {
-        counters::bump(&mut self.stats.tx_frames);
-        match self.mode {
-            BondMode::DuplicateDedup => {
-                // Copy through the pool — no allocation once warm.
-                let mut copy = self.pool.take();
-                copy.copy_from(&frame.bytes);
-                let twin = RawFrame { at_ns: frame.at_ns, bytes: copy };
-                let ok_a = self.a.tx(frame);
-                let ok_b = self.b.tx(twin);
-                let ok = ok_a || ok_b;
-                if !ok {
-                    counters::bump(&mut self.stats.tx_failures);
-                }
-                ok
-            }
-            BondMode::Dwrr { quantum } => {
-                let cost = counters::as_count(frame.bytes.len().max(1));
-                if cost > self.tx_deficit {
-                    // Budget spent: rotate to the other link.
-                    self.tx_link ^= 1;
-                    self.tx_deficit = counters::as_count(quantum.max(1)).max(cost);
-                    self.note_switch(frame.at_ns);
-                }
-                self.tx_deficit = self.tx_deficit.saturating_sub(cost);
-                let at_ns = frame.at_ns;
-                let ok = if self.tx_link == 0 { self.a.tx(frame) } else { self.b.tx(frame) };
-                if ok {
-                    return true;
-                }
-                // The chosen link refused: fail over to its twin with a
-                // pooled copy we cannot make (the frame is consumed), so
-                // count the failure honestly and flip the striper.
-                self.tx_link ^= 1;
-                self.tx_deficit = counters::as_count(quantum.max(1));
-                self.note_switch(at_ns);
-                counters::bump(&mut self.stats.tx_failures);
-                false
-            }
-        }
-    }
-
     fn tx_batch(&mut self, frames: &mut Vec<RawFrame>) -> usize {
         let offered = frames.len();
         counters::bump_by(&mut self.stats.tx_frames, counters::as_count(offered));
@@ -381,11 +339,11 @@ impl<A: FrameIo, B: FrameIo> FrameIo for BondedIo<A, B> {
                 offered.saturating_sub(failed)
             }
             BondMode::Dwrr { quantum } => {
-                // Stripe the batch by the same byte-deficit walk the
-                // per-frame path uses, then one batched send per member.
-                // (The per-frame path's immediate fail-over retry needs
-                // per-frame results; the batch path counts failures and
-                // lets the striper's next walk move on naturally.)
+                // Stripe the batch by a byte-deficit walk, then one
+                // batched send per member. A member that refuses frames
+                // is not retried on its twin (batched sends report no
+                // per-frame result): the failures are counted and the
+                // striper's next walk moves on naturally.
                 let mut stripe_b = std::mem::take(&mut self.tx_scratch);
                 stripe_b.clear();
                 let mut stripe_a = std::mem::take(&mut self.tx_scratch_a);
@@ -484,23 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_tx_duplicates_to_both_members() {
-        let ((mut a_far, mut b_far), mut bond) = bonded(BondMode::DuplicateDedup);
-        for seq in 0..10u8 {
-            assert!(bond.tx(uframe(seq, u64::from(seq))));
-        }
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        a_far.rx_batch(&mut out_a, 64);
-        b_far.rx_batch(&mut out_b, 64);
-        assert_eq!(out_a.len(), 10);
-        assert_eq!(out_b.len(), 10);
-        for (x, y) in out_a.iter().zip(&out_b) {
-            assert_eq!(x, y, "copies are bit-identical");
-        }
-    }
-
-    #[test]
     fn permanent_single_link_outage_costs_zero_frames() {
         // Link a dies permanently at t=5µs; every frame still arrives
         // exactly once via link b.
@@ -533,31 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn dwrr_stripes_by_byte_quantum() {
-        let ((mut a_far, mut b_far), mut bond) = bonded(BondMode::Dwrr { quantum: 256 });
-        for seq in 0..40u8 {
-            assert!(bond.tx(uframe(seq, u64::from(seq))));
-        }
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        a_far.rx_batch(&mut out_a, 64);
-        b_far.rx_batch(&mut out_b, 64);
-        assert_eq!(out_a.len() + out_b.len(), 40, "every frame on exactly one link");
-        assert!(!out_a.is_empty() && !out_b.is_empty(), "both links carry traffic");
-        assert!(bond.stats().link_switches > 0);
-        // Merge on receive: the bond's peer sees all 40.
-        let ((mut c_far, d_far), mut rx_bond) = bonded(BondMode::Dwrr { quantum: 256 });
-        for f in out_a.into_iter().chain(out_b) {
-            c_far.tx(f);
-        }
-        drop(c_far);
-        drop(d_far);
-        let got = drain(&mut rx_bond);
-        assert_eq!(got.len(), 40);
-    }
-
-    #[test]
-    fn dedup_tx_batch_duplicates_to_both_members() {
+    fn dedup_tx_duplicates_to_both_members() {
         let ((mut a_far, mut b_far), mut bond) = bonded(BondMode::DuplicateDedup);
         let mut batch: Vec<RawFrame> = (0..10u8).map(|s| uframe(s, u64::from(s))).collect();
         assert_eq!(bond.tx_batch(&mut batch), 10);
@@ -569,36 +486,47 @@ mod tests {
         assert_eq!(out_a.len(), 10);
         assert_eq!(out_b.len(), 10);
         for (x, y) in out_a.iter().zip(&out_b) {
-            assert_eq!(x, y, "batched copies are bit-identical");
+            assert_eq!(x, y, "copies are bit-identical");
         }
         assert_eq!(bond.stats().tx_frames, 10);
         assert_eq!(bond.stats().tx_failures, 0);
     }
 
     #[test]
-    fn dwrr_tx_batch_stripes_like_per_frame() {
+    fn dwrr_stripes_by_byte_quantum() {
         let ((mut a_far, mut b_far), mut bond) = bonded(BondMode::Dwrr { quantum: 256 });
-        let mut batch: Vec<RawFrame> = (0..40u8).map(|s| uframe(s, u64::from(s))).collect();
-        assert_eq!(bond.tx_batch(&mut batch), 40);
+        // Two batches: the deficit state carries across `tx_batch` calls.
+        for half in [0..20u8, 20..40u8] {
+            let mut batch: Vec<RawFrame> = half.map(|s| uframe(s, u64::from(s))).collect();
+            assert_eq!(bond.tx_batch(&mut batch), 20);
+        }
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
         a_far.rx_batch(&mut out_a, 64);
         b_far.rx_batch(&mut out_b, 64);
         assert_eq!(out_a.len() + out_b.len(), 40, "every frame on exactly one link");
         assert!(!out_a.is_empty() && !out_b.is_empty(), "both links carry traffic");
-        // The batched walk advances the same deficit state as per-frame
-        // striping: a second bond fed one frame at a time splits the
-        // stream at the same points.
-        let ((mut c_far, mut d_far), mut per_frame) = bonded(BondMode::Dwrr { quantum: 256 });
+        assert!(bond.stats().link_switches > 0);
+        // How the stream is chopped into batches does not move the split
+        // points: one frame per batch stripes identically.
+        let ((mut c_far, mut d_far), mut singles) = bonded(BondMode::Dwrr { quantum: 256 });
         for s in 0..40u8 {
-            assert!(per_frame.tx(uframe(s, u64::from(s))));
+            assert!(singles.tx(uframe(s, u64::from(s))));
         }
         let mut out_c = Vec::new();
         let mut out_d = Vec::new();
         c_far.rx_batch(&mut out_c, 64);
         d_far.rx_batch(&mut out_d, 64);
-        assert_eq!(out_a, out_c, "a-stripe identical to the per-frame path");
-        assert_eq!(out_b, out_d, "b-stripe identical to the per-frame path");
+        assert_eq!(out_a, out_c, "a-stripe independent of batch boundaries");
+        assert_eq!(out_b, out_d, "b-stripe independent of batch boundaries");
+        // Merge on receive: the bond's peer sees all 40.
+        let ((mut e_far, f_far), mut rx_bond) = bonded(BondMode::Dwrr { quantum: 256 });
+        for f in out_a.into_iter().chain(out_b) {
+            e_far.tx(f);
+        }
+        drop(e_far);
+        drop(f_far);
+        assert_eq!(drain(&mut rx_bond).len(), 40);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! impairments — drop, duplicate, reorder (bounded displacement),
 //! truncate, bit-corrupt and timestamp jitter — plus an optional timed
 //! full-loss [`Outage`] window on the receive side. All randomness comes
-//! from an owned xorshift64* state seeded from the config: there is no
-//! `std::time` or OS RNG anywhere, so a run is fully replayable from its
-//! `(seed, config, input)` triple and works in offline test harnesses.
+//! from one owned [`SplitMix64`] stream per direction, seeded from the
+//! config: there is no `std::time` or OS RNG anywhere, so a run is fully
+//! replayable from its `(seed, config, input)` triple and works in offline
+//! test harnesses.
 //!
 //! Impairments are applied in a fixed, documented order per frame:
 //!
@@ -33,62 +34,9 @@ use std::collections::VecDeque;
 
 use rb_core::telemetry::counters::{as_count, bump};
 use rb_fronthaul::ether::EthernetAddress;
+use rb_netsim::rng::{mix, SplitMix64};
 
 use crate::io::{FrameIo, RawFrame, RxPoll};
-
-/// Deterministic xorshift64* generator, seeded through a splitmix64
-/// scramble so small consecutive seeds produce uncorrelated streams.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosRng {
-    state: u64,
-}
-
-impl ChaosRng {
-    /// Create a generator from a seed. Any seed (including 0) is valid.
-    pub fn new(seed: u64) -> ChaosRng {
-        // splitmix64 finalizer: decorrelates adjacent seeds and guarantees
-        // a non-zero xorshift state.
-        let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        ChaosRng { state: z | 1 }
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Bernoulli draw: true with probability `p` (clamped to `[0, 1]`).
-    ///
-    /// `p <= 0` returns false and `p >= 1` returns true **without
-    /// consuming state**, so disabled impairments do not perturb the
-    /// decision stream of enabled ones.
-    pub fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        ((self.next_u64() >> 11) as f64) / ((1u64 << 53) as f64) < p
-    }
-
-    /// Uniform draw in `0..n` (`0` when `n == 0`).
-    pub fn below(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.next_u64() % n
-        }
-    }
-}
 
 /// Per-direction impairment probabilities and parameters. All
 /// probabilities are per-frame in `[0, 1]`; the all-zero default injects
@@ -211,18 +159,23 @@ struct Held {
     frame: RawFrame,
 }
 
+/// Uniform draw in `1..=n` (callers check `n > 0`).
+fn one_to(rng: &mut SplitMix64, n: u64) -> u64 {
+    as_count(rng.below(usize::try_from(n).unwrap_or(usize::MAX))).saturating_add(1)
+}
+
 /// One direction's impairment state: RNG, counters and reorder holdback.
 #[derive(Debug)]
 struct Lane {
     imp: Impairments,
-    rng: ChaosRng,
+    rng: SplitMix64,
     stats: LaneStats,
     held: VecDeque<Held>,
     emitted: u64,
 }
 
 impl Lane {
-    fn new(imp: Impairments, rng: ChaosRng) -> Lane {
+    fn new(imp: Impairments, rng: SplitMix64) -> Lane {
         Lane { imp, rng, stats: LaneStats::default(), held: VecDeque::new(), emitted: 0 }
     }
 
@@ -232,7 +185,7 @@ impl Lane {
         &mut self,
         mut frame: RawFrame,
         outage: Option<&Outage>,
-        out: &mut VecDeque<RawFrame>,
+        out: &mut impl Extend<RawFrame>,
     ) {
         bump(&mut self.stats.frames);
 
@@ -254,20 +207,19 @@ impl Lane {
         }
 
         if self.rng.chance(self.imp.truncate) {
-            let len = as_count(frame.bytes.len());
+            let len = frame.bytes.len();
             if len >= 2 {
                 let new_len = self.rng.below(len.saturating_sub(1)).saturating_add(1);
-                frame.bytes.vec_mut().truncate(usize::try_from(new_len).unwrap_or(usize::MAX));
+                frame.bytes.vec_mut().truncate(new_len);
                 bump(&mut self.stats.truncated);
             }
         }
 
         if self.rng.chance(self.imp.corrupt) {
-            let bits = as_count(frame.bytes.len()).saturating_mul(8);
+            let bits = frame.bytes.len().saturating_mul(8);
             if bits > 0 {
                 let bit = self.rng.below(bits);
-                let byte = usize::try_from(bit / 8).unwrap_or(usize::MAX);
-                if let Some(b) = frame.bytes.vec_mut().get_mut(byte) {
+                if let Some(b) = frame.bytes.vec_mut().get_mut(bit / 8) {
                     *b ^= 0x80u8.wrapping_shr(u32::try_from(bit % 8).unwrap_or(0));
                     bump(&mut self.stats.corrupted);
                 }
@@ -281,7 +233,7 @@ impl Lane {
         // The old `.max(1)` spelling shifted every jittered frame by 1 ns
         // even when the configured range `1..=jitter_ns` was empty.
         if self.imp.jitter_ns > 0 && self.rng.chance(self.imp.jitter) {
-            let shift = self.rng.below(self.imp.jitter_ns).saturating_add(1);
+            let shift = one_to(&mut self.rng, self.imp.jitter_ns);
             frame.at_ns = frame.at_ns.saturating_add(shift);
             bump(&mut self.stats.jittered);
         }
@@ -297,7 +249,7 @@ impl Lane {
             // Hold the original back until `1..=reorder_window` later
             // frames have been emitted past it. The duplicate (if any)
             // still goes out now, which is itself a reordering.
-            let displacement = self.rng.below(self.imp.reorder_window).saturating_add(1);
+            let displacement = one_to(&mut self.rng, self.imp.reorder_window);
             bump(&mut self.stats.reordered);
             self.held
                 .push_back(Held { release_at: self.emitted.saturating_add(displacement), frame });
@@ -310,15 +262,15 @@ impl Lane {
     }
 
     /// Emit one frame and cascade any held frames that are now due.
-    fn emit(&mut self, frame: RawFrame, out: &mut VecDeque<RawFrame>) {
-        out.push_back(frame);
+    fn emit(&mut self, frame: RawFrame, out: &mut impl Extend<RawFrame>) {
+        out.extend(Some(frame));
         self.emitted = self.emitted.saturating_add(1);
         loop {
             let due = self.held.iter().position(|h| h.release_at <= self.emitted);
             match due {
                 Some(i) => {
                     if let Some(h) = self.held.remove(i) {
-                        out.push_back(h.frame);
+                        out.extend(Some(h.frame));
                         self.emitted = self.emitted.saturating_add(1);
                     }
                 }
@@ -328,7 +280,7 @@ impl Lane {
     }
 
     /// Release every held frame (end of stream), earliest deadline first.
-    fn flush(&mut self, out: &mut VecDeque<RawFrame>) {
+    fn flush(&mut self, out: &mut impl Extend<RawFrame>) {
         while !self.held.is_empty() {
             let mut min_i = 0;
             for (i, h) in self.held.iter().enumerate() {
@@ -337,7 +289,7 @@ impl Lane {
                 }
             }
             if let Some(h) = self.held.remove(min_i) {
-                out.push_back(h.frame);
+                out.extend(Some(h.frame));
                 self.emitted = self.emitted.saturating_add(1);
             }
         }
@@ -356,15 +308,18 @@ pub struct ChaosIo<Io: FrameIo> {
     rx: Lane,
     tx: Lane,
     rx_ready: VecDeque<RawFrame>,
-    tx_ready: VecDeque<RawFrame>,
+    /// What the tx lane has released and the inner backend has not been
+    /// handed yet (empty between calls).
+    tx_ready: Vec<RawFrame>,
     rx_scratch: Vec<RawFrame>,
-    tx_scratch: Vec<RawFrame>,
     rx_eof: bool,
 }
 
-/// Constant xored into the seed for the tx lane so the two directions
-/// draw from decorrelated streams.
-const TX_LANE_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Coordinate [`mix`]ed into the seed for the tx lane so the two
+/// directions draw from decorrelated streams. (Not an offset or xor of
+/// the seed: splitmix states a few increments apart are one stream,
+/// shifted.)
+const TX_LANE: u64 = 1;
 
 impl<Io: FrameIo> ChaosIo<Io> {
     /// Wrap `inner` with the impairments described by `cfg`.
@@ -372,12 +327,11 @@ impl<Io: FrameIo> ChaosIo<Io> {
         ChaosIo {
             inner,
             outage: cfg.outage,
-            rx: Lane::new(cfg.rx, ChaosRng::new(cfg.seed)),
-            tx: Lane::new(cfg.tx, ChaosRng::new(cfg.seed ^ TX_LANE_SALT)),
+            rx: Lane::new(cfg.rx, SplitMix64::new(cfg.seed)),
+            tx: Lane::new(cfg.tx, SplitMix64::new(mix(cfg.seed, TX_LANE, 0))),
             rx_ready: VecDeque::new(),
-            tx_ready: VecDeque::new(),
+            tx_ready: Vec::new(),
             rx_scratch: Vec::new(),
-            tx_scratch: Vec::new(),
             rx_eof: false,
         }
     }
@@ -402,9 +356,14 @@ impl<Io: FrameIo> ChaosIo<Io> {
     /// Transmit every frame still held back by tx reordering.
     pub fn flush_tx(&mut self) {
         self.tx.flush(&mut self.tx_ready);
-        while let Some(f) = self.tx_ready.pop_front() {
-            self.inner.tx(f);
-        }
+        self.send_released();
+    }
+
+    /// Hand everything the tx lane has released to the inner backend as
+    /// one batch; returns how many of those frames it refused.
+    fn send_released(&mut self) -> usize {
+        let released = self.tx_ready.len();
+        released.saturating_sub(self.inner.tx_batch(&mut self.tx_ready))
     }
 
     /// Flush held tx frames and return the inner backend.
@@ -461,15 +420,6 @@ impl<Io: FrameIo> FrameIo for ChaosIo<Io> {
         }
     }
 
-    fn tx(&mut self, frame: RawFrame) -> bool {
-        self.tx.offer(frame, None, &mut self.tx_ready);
-        let mut ok = true;
-        while let Some(f) = self.tx_ready.pop_front() {
-            ok &= self.inner.tx(f);
-        }
-        ok
-    }
-
     fn tx_batch(&mut self, frames: &mut Vec<RawFrame>) -> usize {
         // Impair in offer order, then hand everything released (possibly
         // fewer after drops/holds, possibly more after released reorder
@@ -480,14 +430,7 @@ impl<Io: FrameIo> FrameIo for ChaosIo<Io> {
         for f in frames.drain(..) {
             self.tx.offer(f, None, &mut self.tx_ready);
         }
-        let mut batch = std::mem::take(&mut self.tx_scratch);
-        batch.clear();
-        batch.extend(self.tx_ready.drain(..));
-        let released = batch.len();
-        let inner_sent = self.inner.tx_batch(&mut batch);
-        self.tx_scratch = batch;
-        let failed = released.saturating_sub(inner_sent);
-        offered.saturating_sub(failed)
+        offered.saturating_sub(self.send_released())
     }
 }
 
@@ -652,28 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn tx_lane_impairs_independently() {
-        let mut cfg = ChaosConfig::new(23);
-        cfg.tx.drop = 0.5;
-        let mut io = chaos(cfg, 0);
-        let mut pool_frames = Vec::new();
-        // Feed 100 synthetic frames through tx.
-        for k in 0..100u64 {
-            let mut v = vec![0u8; 60];
-            v[20] = k as u8;
-            pool_frames.push(RawFrame { at_ns: k, bytes: v.into() });
-        }
-        for f in pool_frames {
-            io.tx(f);
-        }
-        io.flush_tx();
-        let s = io.stats();
-        assert_eq!(s.tx.frames, 100);
-        assert!(s.tx.dropped > 0);
-        assert_eq!(io.inner_mut().take_tx().len(), 100 - s.tx.dropped as usize);
-    }
-
-    #[test]
     fn zero_jitter_ns_is_a_no_op() {
         // Regression: `jitter_ns == 0` used to shift every jittered frame
         // by 1 ns (`.max(1)`), contradicting the documented `1..=jitter_ns`
@@ -705,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn tx_batch_matches_per_frame_tx() {
+    fn tx_lane_schedule_is_independent_of_batch_boundaries() {
         let mut cfg = ChaosConfig::new(29);
         cfg.tx.drop = 0.2;
         cfg.tx.duplicate = 0.2;
@@ -734,14 +655,11 @@ mod tests {
             batched.inner_mut().take_tx().into_iter().map(|f| f.bytes.to_vec()).collect();
         assert_eq!(got_one, got_batched, "batching must not change the impairment schedule");
         assert_eq!(one.stats(), batched.stats());
-    }
-
-    #[test]
-    fn rng_chance_extremes_consume_no_state() {
-        let mut a = ChaosRng::new(42);
-        let mut b = ChaosRng::new(42);
-        assert!(!a.chance(0.0));
-        assert!(a.chance(1.0));
-        assert_eq!(a.next_u64(), b.next_u64());
+        // The tx lane impairs (independently of rx, which saw nothing) and
+        // nothing is left held back after the flush.
+        let s = one.stats();
+        assert_eq!((s.tx.frames, s.rx.frames), (120, 0));
+        assert!(s.tx.dropped > 0 && s.tx.duplicated > 0 && s.tx.reordered > 0);
+        assert_eq!(got_one.len(), 120 - s.tx.dropped as usize + s.tx.duplicated as usize);
     }
 }

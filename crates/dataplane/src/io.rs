@@ -46,11 +46,12 @@ pub enum RxPoll {
     Eof,
 }
 
-/// A dataplane packet interface: the runtime pulls batches in and pushes
-/// processed frames out in batches. Implementations must be cheap to
-/// poll — the runtime calls `rx_batch` in a tight loop — and should
-/// implement `tx_batch` natively whenever the medium can amortize
-/// per-frame cost (one `sendmmsg`, one sink dispatch) over the batch.
+/// A dataplane packet interface: the runtime pulls batches in with
+/// `rx_batch` and pushes processed frames out with `tx_batch`. Those two
+/// are all a backend implements. Implementations must be cheap to poll —
+/// the runtime calls `rx_batch` in a tight loop — and `tx_batch` is where
+/// a medium amortizes per-frame cost (one `sendmmsg`, one sink dispatch)
+/// over the batch.
 ///
 /// # The batched rx/tx contract
 ///
@@ -86,22 +87,17 @@ pub trait FrameIo: Send {
     /// full contract (`max == 0`, partial batches, sticky `Eof`).
     fn rx_batch(&mut self, out: &mut Vec<RawFrame>, max: usize) -> RxPoll;
 
-    /// Transmit one frame. Returns `false` if the frame could not be sent
-    /// (sink error, peer gone); the runtime counts such failures.
-    fn tx(&mut self, frame: RawFrame) -> bool;
-
     /// Transmit every frame in `frames`, leaving the vector empty, and
-    /// return how many were sent successfully. The default forwards one
-    /// frame at a time through [`FrameIo::tx`]; real backends override it
-    /// to amortize per-frame cost over the batch.
-    fn tx_batch(&mut self, frames: &mut Vec<RawFrame>) -> usize {
-        let mut sent = 0usize;
-        for f in frames.drain(..) {
-            if self.tx(f) {
-                sent = sent.saturating_add(1);
-            }
-        }
-        sent
+    /// return how many were sent successfully (sink error, full lane and
+    /// peer gone are the failures; the runtime counts them).
+    fn tx_batch(&mut self, frames: &mut Vec<RawFrame>) -> usize;
+
+    /// Transmit one frame: a batch of one through [`FrameIo::tx_batch`],
+    /// `false` if it could not be sent. A convenience for tests and
+    /// harnesses that preload a peer; it allocates the one-element batch,
+    /// so the runtime never calls it and no backend overrides it.
+    fn tx(&mut self, frame: RawFrame) -> bool {
+        self.tx_batch(&mut vec![frame]) == 1
     }
 }
 
@@ -251,22 +247,8 @@ impl<R: Read + Send> FrameIo for PcapReplay<R> {
         }
     }
 
-    fn tx(&mut self, frame: RawFrame) -> bool {
-        match &mut self.sink {
-            TxSink::Memory(v) => {
-                v.push(frame);
-                true
-            }
-            TxSink::Writer(w) => w.write_frame(frame.at_ns, &frame.bytes).is_ok(),
-            TxSink::Discard(n) => {
-                *n = n.saturating_add(1);
-                true
-            }
-        }
-    }
-
     fn tx_batch(&mut self, frames: &mut Vec<RawFrame>) -> usize {
-        // One sink dispatch per batch instead of per frame.
+        // One sink dispatch per batch.
         match &mut self.sink {
             TxSink::Memory(v) => {
                 let sent = frames.len();
@@ -359,18 +341,6 @@ impl FrameIo for Loopback {
         }
     }
 
-    fn tx(&mut self, frame: RawFrame) -> bool {
-        if self.tx.closed.load(Ordering::Acquire) {
-            return false;
-        }
-        if self.tx.q.push(frame).is_err() {
-            // Peer is not draining: shed at the transmitter, never block.
-            self.tx.overflowed.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        true
-    }
-
     fn tx_batch(&mut self, frames: &mut Vec<RawFrame>) -> usize {
         // One closed-flag Acquire load per batch, then straight pushes.
         if self.tx.closed.load(Ordering::Acquire) {
@@ -381,6 +351,7 @@ impl FrameIo for Loopback {
         let mut shed = 0u64;
         for f in frames.drain(..) {
             if self.tx.q.push(f).is_err() {
+                // Peer is not draining: shed at the transmitter, never block.
                 shed = shed.saturating_add(1);
             } else {
                 sent = sent.saturating_add(1);
@@ -420,18 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_memory_sink_records_tx() {
-        let cap = capture(&[]);
-        let mut io = MemReplay::from_bytes(cap).unwrap();
-        assert!(io.tx(RawFrame { at_ns: 9, bytes: vec![7u8; 14].into() }));
-        assert_eq!(io.tx_frames(), 1);
-        let got = io.take_tx();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].at_ns, 9);
-        assert!(io.take_tx().is_empty());
-    }
-
-    #[test]
     fn replay_stops_at_damaged_record() {
         let mut cap = capture(&[(1, vec![1u8; 20])]);
         cap.truncate(cap.len() - 5); // cut into the frame data
@@ -451,14 +410,6 @@ mod tests {
         assert_eq!(b.rx_batch(&mut out, 8), RxPoll::Idle);
         drop(a);
         assert_eq!(b.rx_batch(&mut out, 8), RxPoll::Eof);
-    }
-
-    #[test]
-    fn loopback_sheds_on_full_lane() {
-        let (mut a, b) = Loopback::pair(1);
-        assert!(a.tx(RawFrame { at_ns: 1, bytes: vec![1].into() }));
-        assert!(!a.tx(RawFrame { at_ns: 2, bytes: vec![2].into() }));
-        assert_eq!(b.overflowed(), 1);
     }
 
     #[test]
@@ -489,6 +440,7 @@ mod tests {
         let got = io.take_tx();
         assert_eq!(got.len(), 5);
         assert!(got.windows(2).all(|w| w[0].at_ns < w[1].at_ns), "order preserved");
+        assert!(io.take_tx().is_empty(), "take_tx empties the sink");
     }
 
     #[test]
@@ -508,6 +460,8 @@ mod tests {
         assert_eq!(a.tx_batch(&mut frames), 3, "lane holds 3, the rest shed");
         assert!(frames.is_empty());
         assert_eq!(b.overflowed(), 2);
+        assert!(!a.tx(RawFrame { at_ns: 5, bytes: vec![5].into() }), "a batch of one sheds too");
+        assert_eq!(b.overflowed(), 3);
         let mut out = Vec::new();
         assert_eq!(b.rx_batch(&mut out, 8), RxPoll::Ready(3));
         assert_eq!(out[0].bytes, vec![0]);

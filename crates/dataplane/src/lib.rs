@@ -64,7 +64,7 @@ pub mod worker;
 #[cfg(feature = "af_packet")]
 pub use afpacket::{AfPacketConfig, AfPacketIo, AfPacketStats};
 pub use bond::{BondMode, BondStats, BondedIo};
-pub use chaos::{ChaosConfig, ChaosIo, ChaosRng, ChaosStats, Impairments, Outage};
+pub use chaos::{ChaosConfig, ChaosIo, ChaosStats, Impairments, Outage};
 pub use io::{FrameIo, Loopback, PcapReplay, RawFrame, RxPoll};
 pub use pool::{BufferPool, PooledBuf};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeReport};

@@ -393,24 +393,12 @@ mod tests {
             self.inner.rx_batch(out, max)
         }
 
-        fn tx(&mut self, frame: RawFrame) -> bool {
-            self.parity = !self.parity;
-            if self.parity {
-                self.inner.tx(frame)
-            } else {
-                false
-            }
-        }
-
         fn tx_batch(&mut self, frames: &mut Vec<RawFrame>) -> usize {
-            let mut sent = 0usize;
-            for f in frames.drain(..) {
+            frames.retain(|_| {
                 self.parity = !self.parity;
-                if self.parity && self.inner.tx(f) {
-                    sent += 1;
-                }
-            }
-            sent
+                self.parity
+            });
+            self.inner.tx_batch(frames)
         }
     }
 

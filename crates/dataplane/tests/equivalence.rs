@@ -246,8 +246,8 @@ impl FrameIo for EofOnIdle {
             ready => ready,
         }
     }
-    fn tx(&mut self, frame: RawFrame) -> bool {
-        self.0.tx(frame)
+    fn tx_batch(&mut self, frames: &mut Vec<RawFrame>) -> usize {
+        self.0.tx_batch(frames)
     }
 }
 

@@ -61,6 +61,42 @@ impl MessageType {
     }
 }
 
+/// Half the 8-bit `ecpriSeqid` space: forward distances `1..=128` from
+/// the last number seen count as "ahead", larger ones as "behind" (late
+/// replay / duplicate).
+pub const SEQ_AHEAD_MAX: u8 = 128;
+
+/// Where a sequence number sits relative to the last one seen on its
+/// stream, in 8-bit wrapping arithmetic (see [`seq_step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeqStep {
+    /// The successor of `last`.
+    Next,
+    /// `last` again.
+    Repeat,
+    /// Past the successor, at most [`SEQ_AHEAD_MAX`] ahead of `last`:
+    /// `skipped` numbers (`1..=127`) lie in between.
+    Ahead {
+        /// How many sequence numbers were jumped over.
+        skipped: u8,
+    },
+    /// More than [`SEQ_AHEAD_MAX`] ahead, which is to say behind `last`.
+    Behind,
+}
+
+/// Classify `seq` against the `last` sequence number of the same stream:
+/// the one wrap-around rule every per-stream tracker (the pipeline's gap
+/// counter, the ARQ receive tracker, the bond dedup window) acts on.
+#[inline]
+pub fn seq_step(last: u8, seq: u8) -> SeqStep {
+    match seq.wrapping_sub(last) {
+        0 => SeqStep::Repeat,
+        1 => SeqStep::Next,
+        delta if delta <= SEQ_AHEAD_MAX => SeqStep::Ahead { skipped: delta.wrapping_sub(1) },
+        _ => SeqStep::Behind,
+    }
+}
+
 /// Read the byte at `i`, or 0 if the buffer is too short.
 fn read_1(d: &[u8], i: usize) -> u8 {
     d.get(i).copied().unwrap_or(0)
@@ -350,5 +386,15 @@ mod tests {
         let packet = Packet::new_checked(&buf).unwrap();
         assert!(!packet.e_bit());
         assert_eq!(packet.sub_seq_id(), 0x7f);
+    }
+
+    #[test]
+    fn seq_step_classifies_across_the_wrap() {
+        assert_eq!(seq_step(7, 7), SeqStep::Repeat);
+        assert_eq!(seq_step(255, 0), SeqStep::Next);
+        assert_eq!(seq_step(250, 3), SeqStep::Ahead { skipped: 8 });
+        assert_eq!(seq_step(0, SEQ_AHEAD_MAX), SeqStep::Ahead { skipped: 127 });
+        assert_eq!(seq_step(0, SEQ_AHEAD_MAX + 1), SeqStep::Behind);
+        assert_eq!(seq_step(3, 250), SeqStep::Behind);
     }
 }

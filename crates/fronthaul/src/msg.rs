@@ -188,22 +188,11 @@ impl FhMessage {
         Ok(())
     }
 
-    /// Parse a whole frame from bytes.
+    /// Parse a whole frame from bytes: [`MsgRecycler::parse`] with nothing
+    /// to recycle.
     #[rb_hot_path]
     pub fn parse(data: &[u8], mapping: &EaxcMapping) -> Result<FhMessage> {
-        let frame = Frame::new_checked(data)?;
-        let eth = FrameRepr::parse(&frame)?;
-        if eth.ethertype != EtherType::ECPRI {
-            return Err(Error::WrongEtherType);
-        }
-        let packet = ecpri::Packet::new_checked(frame.payload())?;
-        let ecpri_repr = ecpri::Repr::parse(&packet, mapping)?;
-        let body = match ecpri_repr.message_type {
-            MessageType::RtControl => Body::CPlane(CPlaneRepr::parse(packet.payload())?),
-            MessageType::IqData => Body::UPlane(UPlaneRepr::parse(packet.payload())?),
-            MessageType::Recovery => Body::Recovery(RecoveryRepr::parse(packet.payload())?),
-        };
-        Ok(FhMessage { eth, eaxc: ecpri_repr.eaxc, seq_id: ecpri_repr.seq_id, body })
+        MsgRecycler::default().parse(data, mapping)
     }
 }
 
@@ -225,8 +214,9 @@ pub struct MsgRecycler {
 impl MsgRecycler {
     /// Parse a whole frame, reusing recycled body buffers when possible.
     ///
-    /// Exactly equivalent to [`FhMessage::parse`] (same accepts, same
-    /// rejects, same parsed value) — only the allocation behaviour differs.
+    /// A warm recycler accepts, rejects and returns exactly what a fresh
+    /// one ([`FhMessage::parse`]) does — only the allocation behaviour
+    /// differs.
     #[rb_hot_path]
     pub fn parse(&mut self, data: &[u8], mapping: &EaxcMapping) -> Result<FhMessage> {
         let frame = Frame::new_checked(data)?;

@@ -1,5 +1,5 @@
-//! Drop-in synchronization shims: instrumented atomics and a
-//! `parking_lot`-shaped `RwLock`. Every operation is a scheduling
+//! Drop-in synchronization shims: instrumented atomics and an
+//! infallible-API `RwLock`. Every operation is a scheduling
 //! point, so the checker explores each placement of the operation
 //! relative to every other task's.
 
@@ -128,9 +128,9 @@ struct RwState {
     readers: usize,
 }
 
-/// Instrumented reader-writer lock with `parking_lot`'s infallible API
+/// Instrumented reader-writer lock with an infallible API
 /// (`read()`/`write()` return guards directly), so `cfg(loom)` swaps it
-/// under code written against `parking_lot::RwLock`.
+/// under code written against `rb_core::sync::RwLock`.
 ///
 /// Admission is decided on a *logical* state guarded by the scheduler;
 /// the data sits behind a `std` `RwLock` whose acquisitions can never

@@ -18,12 +18,10 @@
 //! * [`SlotDeadline`] — the vRAN slot-processing budget check of §6.4.1
 //!   (≈ 30 µs of middlebox headroom per slot before packets get dropped).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// The two packet-processing datapaths the paper implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Datapath {
     /// Kernel-bypass poll-mode driver: a dedicated core spins at 100 %.
     Dpdk,
@@ -33,7 +31,7 @@ pub enum Datapath {
 }
 
 /// Where a middlebox's packet processing runs under XDP (paper Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum XdpPlacement {
     /// Entirely in the kernel XDP program (header-only actions).
     Kernel,
@@ -75,7 +73,7 @@ pub enum Work {
 ///
 /// Defaults are calibrated against the paper's DPDK microbenchmarks
 /// (Figure 15b) and the XDP overheads reported in §5/§6.4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Which datapath this model describes.
     pub datapath: Datapath,

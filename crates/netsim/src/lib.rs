@@ -12,6 +12,8 @@
 //!   CPU-utilization accounting, slot-deadline checking).
 //! * [`power`] — server power model (paper Figure 14).
 //! * [`stats`] — throughput meters and latency histograms.
+//! * [`rng`] — the seeded splitmix64 stream every random draw in the
+//!   workspace comes from.
 //!
 //! Determinism: events at equal timestamps are delivered in insertion
 //! order, so a simulation run is reproducible bit-for-bit.
@@ -23,6 +25,7 @@ pub mod cost;
 pub mod engine;
 pub mod nic;
 pub mod power;
+pub mod rng;
 pub mod stats;
 pub mod switch;
 pub mod time;

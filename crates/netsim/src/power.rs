@@ -14,10 +14,8 @@
 //! * Fig 14a: `2 × idle(100) + 25 active cores × 8 = 400 W`
 //! * Fig 14b: `idle(100) + 6 active × 8 + 16 low-freq × 2 = 180 W`
 
-use serde::{Deserialize, Serialize};
-
 /// Operating state of one CPU core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreState {
     /// Parked / C-state, contributes nothing beyond the base draw.
     Idle,
@@ -28,7 +26,7 @@ pub enum CoreState {
 }
 
 /// Power model of one server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerPowerModel {
     /// Number of physical cores.
     pub cores: usize,
@@ -79,7 +77,7 @@ impl ServerPowerModel {
 }
 
 /// A rack of servers, some of which may be powered off entirely.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Rack {
     /// Per-server (model, powered-on) entries.
     pub servers: Vec<(ServerPowerModel, bool)>,

@@ -8,13 +8,12 @@
 use rb_fronthaul::bfp::CompressionMethod;
 use rb_fronthaul::freq;
 use rb_fronthaul::timing::{Numerology, TddPattern};
-use serde::{Deserialize, Serialize};
 
 /// Physical cell identity.
 pub type Pci = u16;
 
 /// SSB (synchronization signal block) placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SsbConfig {
     /// Broadcast period in milliseconds (typically 20).
     pub period_ms: u32,
@@ -29,7 +28,7 @@ pub struct SsbConfig {
 }
 
 /// PRACH (random access) placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrachConfig {
     /// Occasion period in milliseconds (typically 10).
     pub period_ms: u32,
@@ -40,7 +39,7 @@ pub struct PrachConfig {
 }
 
 /// Full cell configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellConfig {
     /// Physical cell id.
     pub pci: Pci,
@@ -49,27 +48,17 @@ pub struct CellConfig {
     /// Carrier width in PRBs.
     pub num_prb: u16,
     /// Numerology (μ=1 / 30 kHz for all paper experiments).
-    #[serde(skip, default = "default_numerology")]
     pub numerology: Numerology,
     /// Maximum downlink MIMO layers.
     pub layers: u8,
-    /// TDD pattern as a `D`/`S`/`U` string (kept as text for serde).
+    /// TDD pattern as a `D`/`S`/`U` string.
     pub tdd_pattern: String,
     /// U-plane compression.
-    #[serde(skip, default = "default_compression")]
     pub compression: CompressionMethod,
     /// SSB placement.
     pub ssb: SsbConfig,
     /// PRACH placement.
     pub prach: PrachConfig,
-}
-
-fn default_numerology() -> Numerology {
-    Numerology::Mu1
-}
-
-fn default_compression() -> CompressionMethod {
-    CompressionMethod::BFP9
 }
 
 impl CellConfig {

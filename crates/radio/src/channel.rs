@@ -11,11 +11,9 @@
 //! * co-channel cells interfere strongly enough to dent throughput
 //!   (Figure 11, option O2).
 
-use serde::{Deserialize, Serialize};
-
 /// A position inside the building. `x`/`y` in meters, `floor` counted
 /// from 0.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Position {
     /// Meters along the long building axis (0..50.9).
     pub x: f64,
@@ -49,7 +47,7 @@ impl Position {
 }
 
 /// Channel and radio-budget parameters shared across a deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelParams {
     /// Carrier frequency in GHz (for the path-loss frequency term).
     pub carrier_ghz: f64,

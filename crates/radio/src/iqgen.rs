@@ -14,10 +14,9 @@
 
 use std::collections::HashMap;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rb_fronthaul::bfp::{compress_prb_wire, CompressionMethod};
 use rb_fronthaul::iq::{IqSample, Prb, SAMPLES_PER_PRB};
+use rb_netsim::rng::SplitMix64;
 
 /// Number of distinct noise templates kept.
 const NOISE_VARIANTS: usize = 8;
@@ -29,7 +28,7 @@ pub struct PrbTemplates {
     signal: HashMap<u16, Vec<u8>>,
     noise: Vec<Vec<u8>>,
     noise_cursor: usize,
-    rng: StdRng,
+    rng: SplitMix64,
     noise_sigma: f64,
 }
 
@@ -37,7 +36,7 @@ impl PrbTemplates {
     /// Build a template cache. `noise_sigma` is the per-component standard
     /// deviation of the uplink noise floor in Q15 counts.
     pub fn new(method: CompressionMethod, noise_sigma: f64, seed: u64) -> PrbTemplates {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let zero = compress(&Prb::ZERO, method);
         let noise = (0..NOISE_VARIANTS)
             .map(|_| compress(&noise_prb(&mut rng, noise_sigma), method))
@@ -79,7 +78,7 @@ impl PrbTemplates {
         let rng = &mut self.rng;
         self.signal.entry(bucket).or_insert_with(|| {
             let real_amp = 10f64.powf(bucket as f64 / 20.0);
-            compress(&tone_prb(real_amp, rng.gen::<f64>() * std::f64::consts::TAU), method)
+            compress(&tone_prb(real_amp, rng.unit() * std::f64::consts::TAU), method)
         })
     }
 
@@ -116,10 +115,10 @@ pub fn tone_prb(amp: f64, phase0: f64) -> Prb {
 
 /// A Gaussian-ish noise PRB with per-component deviation `sigma`
 /// (Irwin–Hall approximation — no external distributions needed).
-pub fn noise_prb(rng: &mut StdRng, sigma: f64) -> Prb {
+pub fn noise_prb(rng: &mut SplitMix64, sigma: f64) -> Prb {
     let mut prb = Prb::ZERO;
-    let gauss = |rng: &mut StdRng| -> f64 {
-        let sum: f64 = (0..12).map(|_| rng.gen::<f64>()).sum();
+    let gauss = |rng: &mut SplitMix64| -> f64 {
+        let sum: f64 = (0..12).map(|_| rng.unit()).sum();
         (sum - 6.0) * sigma
     };
     for s in prb.0.iter_mut() {

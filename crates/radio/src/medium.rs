@@ -22,11 +22,9 @@
 //! [`shared`].
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rb_netsim::rng::SplitMix64;
 
 use crate::cell::{CellConfig, Pci};
 use crate::channel::{dbm_to_mw, ChannelParams, Position};
@@ -36,11 +34,21 @@ use crate::mcs;
 pub type UeId = usize;
 
 /// A medium shared between simulation nodes.
-pub type SharedMedium = Arc<Mutex<Medium>>;
+#[derive(Clone)]
+pub struct SharedMedium(Arc<Mutex<Medium>>);
+
+impl SharedMedium {
+    /// Lock the medium. Cannot fail: a lock poisoned by a panicking
+    /// holder is taken over, since every `Medium` update leaves plain
+    /// counters and maps that stay valid wherever it unwinds.
+    pub fn lock(&self) -> MutexGuard<'_, Medium> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// Wrap a medium for sharing.
 pub fn shared(medium: Medium) -> SharedMedium {
-    Arc::new(Mutex::new(medium))
+    SharedMedium(Arc::new(Mutex::new(medium)))
 }
 
 /// Attach-state of a UE.
@@ -227,7 +235,7 @@ pub struct Medium {
     dl_allocs: HashMap<u32, Vec<DlAlloc>>,
     ul_allocs: HashMap<u32, Vec<UlAlloc>>,
     resolved_to: Option<u32>,
-    rng: StdRng,
+    rng: SplitMix64,
     /// Loss/credit counters.
     pub counters: MediumCounters,
 }
@@ -243,7 +251,7 @@ impl Medium {
             dl_allocs: HashMap::new(),
             ul_allocs: HashMap::new(),
             resolved_to: None,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
             counters: MediumCounters::default(),
         }
     }
@@ -672,7 +680,7 @@ impl Medium {
 
     /// Deterministic per-call random phase (for UL IQ synthesis).
     pub fn random_phase(&mut self) -> f64 {
-        self.rng.gen::<f64>() * std::f64::consts::TAU
+        self.rng.unit() * std::f64::consts::TAU
     }
 }
 

@@ -12,9 +12,10 @@
 //! gap into such chunks and [`nack_seqs`] walks a received bitmap on the
 //! sender side.
 
+use rb_fronthaul::ecpri::{seq_step, SeqStep};
 use rb_hotpath_macros::rb_hot_path;
 
-use crate::{SeqBitmap, SEQ_AHEAD_MAX};
+use crate::SeqBitmap;
 
 /// How many sequence numbers one NACK message can cover.
 pub const NACK_SPAN: u8 = 16;
@@ -62,33 +63,30 @@ impl RxTracker {
             self.missing.clear(seq);
             return GapVerdict::InOrder;
         }
-        let delta = seq.wrapping_sub(self.last);
-        if delta == 1 {
-            self.last = seq;
-            // Bitmap hygiene: the slot may still carry a never-recovered
-            // loss from 256 sequence numbers ago.
-            self.missing.clear(seq);
-            GapVerdict::InOrder
-        } else if delta == 0 {
-            GapVerdict::Duplicate
-        } else if delta <= SEQ_AHEAD_MAX {
-            let first = self.last.wrapping_add(1);
-            // `delta` is in `2..=128` on this branch (0 and 1 handled
-            // above), so the subtraction cannot underflow.
-            let count = delta.wrapping_sub(1);
-            let mut s = first;
-            for _ in 0..count {
-                self.missing.set(s);
-                s = s.wrapping_add(1);
+        match seq_step(self.last, seq) {
+            SeqStep::Next => {
+                self.last = seq;
+                // Bitmap hygiene: the slot may still carry a never-recovered
+                // loss from 256 sequence numbers ago.
+                self.missing.clear(seq);
+                GapVerdict::InOrder
             }
-            self.last = seq;
-            self.missing.clear(seq);
-            GapVerdict::Ahead { first, count }
-        } else if self.missing.get(seq) {
-            self.missing.clear(seq);
-            GapVerdict::Recovered
-        } else {
-            GapVerdict::Duplicate
+            SeqStep::Ahead { skipped: count } => {
+                let first = self.last.wrapping_add(1);
+                let mut s = first;
+                for _ in 0..count {
+                    self.missing.set(s);
+                    s = s.wrapping_add(1);
+                }
+                self.last = seq;
+                self.missing.clear(seq);
+                GapVerdict::Ahead { first, count }
+            }
+            SeqStep::Behind if self.missing.get(seq) => {
+                self.missing.clear(seq);
+                GapVerdict::Recovered
+            }
+            SeqStep::Repeat | SeqStep::Behind => GapVerdict::Duplicate,
         }
     }
 

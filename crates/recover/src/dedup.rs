@@ -9,6 +9,7 @@
 //! recycled sequence number from the next 256-wrap generation is fresh
 //! again by construction — no timestamps needed.
 
+use rb_fronthaul::ecpri::{seq_step, SeqStep};
 use rb_hotpath_macros::rb_hot_path;
 
 use crate::{SeqBitmap, SEQ_AHEAD_MAX};
@@ -42,28 +43,29 @@ impl DedupWindow {
             self.seen.set(seq);
             return true;
         }
-        let delta = seq.wrapping_sub(self.newest);
-        if delta == 0 {
-            false
-        } else if delta <= SEQ_AHEAD_MAX {
-            // The window edge advances: every number it slides over
-            // belongs to the new generation now, so its old mark (if
-            // any) must go before the number can be judged.
-            let mut s = self.newest;
-            for _ in 0..delta {
-                s = s.wrapping_add(1);
-                self.seen.clear(s);
-            }
-            self.newest = seq;
-            self.seen.set(seq);
-            true
-        } else {
-            // Behind the edge but within the window: a late copy.
-            if self.seen.get(seq) {
-                false
-            } else {
+        match seq_step(self.newest, seq) {
+            SeqStep::Repeat => false,
+            SeqStep::Next | SeqStep::Ahead { .. } => {
+                // The window edge advances: every number it slides over
+                // belongs to the new generation now, so its old mark (if
+                // any) must go before the number can be judged.
+                let mut s = self.newest;
+                while s != seq {
+                    s = s.wrapping_add(1);
+                    self.seen.clear(s);
+                }
+                self.newest = seq;
                 self.seen.set(seq);
                 true
+            }
+            SeqStep::Behind => {
+                // Behind the edge but within the window: a late copy.
+                if self.seen.get(seq) {
+                    false
+                } else {
+                    self.seen.set(seq);
+                    true
+                }
             }
         }
     }

@@ -134,6 +134,8 @@ impl FecEncoder {
             self.absorb(frame);
             return self.completion(EncodeAction::Absorbed);
         }
+        // Not `ecpri::seq_step`: the distance is measured from the number
+        // the window *expects*, so 0 is the in-order case, not a repeat.
         let expected = self.base.wrapping_add(self.filled);
         let delta = seq.wrapping_sub(expected);
         if delta == 0 {

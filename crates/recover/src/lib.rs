@@ -39,10 +39,7 @@ pub mod cache;
 pub mod dedup;
 pub mod fec;
 
-/// Half the 8-bit sequence space: forward distances `1..=128` count as
-/// "ahead", larger deltas as "behind" (late replay / duplicate), the same
-/// convention the pipeline's gap detector uses.
-pub const SEQ_AHEAD_MAX: u8 = 128;
+pub use rb_fronthaul::ecpri::SEQ_AHEAD_MAX;
 
 /// A 256-bit bitmap indexed by an 8-bit sequence number — the shared
 /// substrate of the gap tracker and the dedup window.

@@ -42,7 +42,6 @@
 //! ```
 
 pub mod citymb;
-mod rng;
 pub mod schedule;
 pub mod spec;
 pub mod topo;

@@ -8,7 +8,8 @@
 //! is already on. The fix-up walks UEs and events in sorted order, so
 //! the result is a pure function of `(seed, spec, topology)`.
 
-use super::rng::SplitMix64;
+use rb_netsim::rng::SplitMix64;
+
 use super::spec::{HandoverEvent, ScenarioSpec};
 use super::topo::{SiteKind, Topology};
 

@@ -30,8 +30,8 @@ use rb_apps::rushare::CarrierSpec;
 use rb_fronthaul::eaxc::{Eaxc, EaxcMapping};
 use rb_fronthaul::ether::EthernetAddress;
 use rb_fronthaul::freq;
+use rb_netsim::rng::SplitMix64;
 
-use super::rng::SplitMix64;
 use super::spec::{ScenarioSpec, EAXC_DMIMO_BASE};
 
 /// Subcarrier spacing of every generated carrier (30 kHz, μ = 1).

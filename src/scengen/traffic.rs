@@ -21,8 +21,8 @@ use rb_fronthaul::pcap::PcapWriter;
 use rb_fronthaul::timing::{Numerology, SymbolId, SYMBOLS_PER_SLOT};
 use rb_fronthaul::uplane::{UPlaneRepr, USection};
 use rb_fronthaul::Direction;
+use rb_netsim::rng::mix;
 
-use super::rng::mix;
 use super::schedule::EventSchedule;
 use super::spec::ScenarioSpec;
 use super::topo::{SiteKind, Topology, DU_NUM_PRB, RU_NUM_PRB};

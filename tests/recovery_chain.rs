@@ -10,7 +10,7 @@
 //!           └───────────────────── NACKs (lossless) ──────────────────────┘
 //! ```
 //!
-//! Losses are drawn from a seeded [`ChaosRng`], so every run of these
+//! Losses are drawn from a seeded [`SplitMix64`], so every run of these
 //! tests sees the exact same erasure schedule — the acceptance numbers
 //! are deterministic replays, not flaky thresholds.
 
@@ -21,7 +21,6 @@ use ranbooster::apps::fec::{FecDecoderMb, FecEncoderMb};
 use ranbooster::core::cache::SymbolCache;
 use ranbooster::core::middlebox::{MbContext, Middlebox};
 use ranbooster::core::telemetry::TelemetrySender;
-use ranbooster::dataplane::chaos::ChaosRng;
 use ranbooster::fronthaul::bfp::CompressionMethod;
 use ranbooster::fronthaul::eaxc::{Eaxc, EaxcMapping};
 use ranbooster::fronthaul::ether::EthernetAddress;
@@ -30,6 +29,7 @@ use ranbooster::fronthaul::msg::{Body, FhMessage};
 use ranbooster::fronthaul::timing::SymbolId;
 use ranbooster::fronthaul::uplane::{UPlaneRepr, USection};
 use ranbooster::fronthaul::Direction;
+use ranbooster::netsim::rng::SplitMix64;
 use ranbooster::netsim::time::SimTime;
 use ranbooster::recover::fec::FecConfig;
 
@@ -70,7 +70,7 @@ struct Chain {
     enc: FecEncoderMb,
     dec: FecDecoderMb,
     rx: ArqReceiver,
-    rng: ChaosRng,
+    rng: SplitMix64,
     loss: f64,
     cache: SymbolCache,
     tele: TelemetrySender,
@@ -89,7 +89,7 @@ impl Chain {
             enc: FecEncoderMb::new("fec-enc", mac(FEC_ENC), mac(FEC_DEC), fec),
             dec: FecDecoderMb::new("fec-dec", mac(FEC_DEC), mac(ARQ_RX), 128),
             rx: ArqReceiver::new("arq-rx", mac(ARQ_RX), mac(SINK), mac(ARQ_TX)),
-            rng: ChaosRng::new(seed),
+            rng: SplitMix64::new(seed),
             loss,
             cache: SymbolCache::new(64),
             tele: TelemetrySender::disconnected("chain"),
