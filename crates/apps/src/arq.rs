@@ -152,10 +152,6 @@ impl Middlebox for ArqSender {
         }
         ctx.charge(Work::Cache, XdpPlacement::Userspace);
     }
-
-    fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {
-        (Work::Cache, XdpPlacement::Userspace)
-    }
 }
 
 /// Aggregate counters of an [`ArqReceiver`].
@@ -172,6 +168,10 @@ pub struct ArqReceiverStats {
     /// Duplicate copies absorbed.
     pub duplicates_dropped: u64,
 }
+
+/// Most `(src, eAxC)` streams one [`ArqReceiver`] tracks (~3 MiB of
+/// trackers): a sender cycling source addresses cannot grow the map past it.
+const TRACKED_STREAMS_MAX: usize = 65_536;
 
 /// The receiver half: detect gaps, request retransmission, dedup.
 pub struct ArqReceiver {
@@ -214,7 +214,15 @@ impl ArqReceiver {
     fn on_data(&mut self, ctx: &mut MbContext<'_>, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
         let src = msg.eth.src;
         let raw = msg.eaxc.pack(&ctx.mapping);
-        let verdict = self.trackers.entry((src, raw)).or_default().observe(msg.seq_id);
+        // `src` comes off the wire: past the cap, streams not already
+        // tracked are forwarded as in-order, without gap recovery.
+        let tracked =
+            self.trackers.len() < TRACKED_STREAMS_MAX || self.trackers.contains_key(&(src, raw));
+        let verdict = if tracked {
+            self.trackers.entry((src, raw)).or_default().observe(msg.seq_id)
+        } else {
+            GapVerdict::InOrder
+        };
         ctx.charge(Work::Cache, XdpPlacement::Userspace);
         match verdict {
             GapVerdict::InOrder => {
@@ -271,10 +279,6 @@ impl Middlebox for ArqReceiver {
 
     fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         self.on_data(ctx, msg, out);
-    }
-
-    fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {
-        (Work::Cache, XdpPlacement::Userspace)
     }
 }
 
@@ -432,6 +436,29 @@ mod tests {
     }
 
     #[test]
+    fn receiver_tracker_map_is_bounded_against_cycling_source_macs() {
+        // Regression: one tracker per (source MAC, eAxC), and the MAC
+        // comes off the wire.
+        let mut cache = SymbolCache::new(8);
+        let tele = TelemetrySender::disconnected("t");
+        let mut rx = ArqReceiver::new("arq-r", mac(33), mac(40), mac(30));
+        rx.handle(&mut ctx(&mut cache, &tele), umsg(mac(30), mac(33), 0));
+        let flood = TRACKED_STREAMS_MAX + 1000;
+        let mut m = umsg(mac(30), mac(33), 7);
+        for k in 0..flood {
+            let k = k.to_be_bytes();
+            m.eth.src = EthernetAddress::new(6, 0, k[4], k[5], k[6], k[7]);
+            let out = rx.handle(&mut ctx(&mut cache, &tele), m.clone());
+            assert_eq!(out.len(), 1, "untracked streams are still forwarded");
+        }
+        assert_eq!(rx.trackers.len(), TRACKED_STREAMS_MAX);
+        // The stream tracked before the flood still is: 0 -> 2 is a gap.
+        rx.handle(&mut ctx(&mut cache, &tele), umsg(mac(30), mac(33), 2));
+        assert_eq!(rx.stats.gaps_detected, 1);
+        assert_eq!(rx.stats.nacks_sent, 1);
+    }
+
+    #[test]
     fn telemetry_counters_emitted() {
         let (tele, rx_tele) = telemetry::channel("arq");
         let mut cache = SymbolCache::new(8);
@@ -439,7 +466,7 @@ mod tests {
         rx.handle(&mut ctx(&mut cache, &tele), umsg(mac(30), mac(33), 0));
         rx.handle(&mut ctx(&mut cache, &tele), umsg(mac(30), mac(33), 2));
         rx.handle(&mut ctx(&mut cache, &tele), umsg(mac(30), mac(33), 1));
-        let names: Vec<String> = rx_tele
+        let names: Vec<&str> = rx_tele
             .drain()
             .into_iter()
             .filter_map(|r| match r.event {
@@ -447,7 +474,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(names.contains(&counters::ARQ_NACKS_SENT.to_string()));
-        assert!(names.contains(&counters::FRAMES_RECOVERED_ARQ.to_string()));
+        assert!(names.contains(&counters::ARQ_NACKS_SENT));
+        assert!(names.contains(&counters::FRAMES_RECOVERED_ARQ));
     }
 }

@@ -19,7 +19,7 @@ use rb_core::cache::{CacheKey, Plane};
 use rb_core::middlebox::{MbContext, Middlebox};
 use rb_core::telemetry::counters;
 use rb_fronthaul::ether::EthernetAddress;
-use rb_fronthaul::msg::{Body, FhMessage};
+use rb_fronthaul::msg::FhMessage;
 use rb_fronthaul::timing::Numerology;
 use rb_fronthaul::{Direction, Error, Result};
 use rb_netsim::cost::{Work, XdpPlacement};
@@ -58,6 +58,29 @@ pub struct DasStats {
     pub merge_errors: u64,
     /// Packets from unknown sources, dropped.
     pub unknown_src: u64,
+}
+
+impl DasStats {
+    /// Add `other`'s counters to `self`'s (several DAS instances summed
+    /// into deployment totals).
+    pub fn merge(&mut self, other: &DasStats) {
+        // Exhaustive on purpose: a new counter that is not summed here is
+        // a compile error, not a total that silently reads zero.
+        let DasStats {
+            dl_replicated,
+            ul_cached,
+            ul_merges,
+            ul_partial_merges,
+            merge_errors,
+            unknown_src,
+        } = *other;
+        counters::bump_by(&mut self.dl_replicated, dl_replicated);
+        counters::bump_by(&mut self.ul_cached, ul_cached);
+        counters::bump_by(&mut self.ul_merges, ul_merges);
+        counters::bump_by(&mut self.ul_partial_merges, ul_partial_merges);
+        counters::bump_by(&mut self.merge_errors, merge_errors);
+        counters::bump_by(&mut self.unknown_src, unknown_src);
+    }
 }
 
 /// The DAS middlebox.
@@ -240,20 +263,6 @@ impl Middlebox for Das {
             actions::emit(out, merged);
         }
     }
-
-    fn classify(&self, msg: &FhMessage) -> (Work, XdpPlacement) {
-        // Fallback static estimate (handlers report precise charges).
-        match &msg.body {
-            Body::CPlane(_) => {
-                (Work::Replicate { copies: self.cfg.ru_macs.len() }, XdpPlacement::Userspace)
-            }
-            Body::UPlane(_) if msg.body.direction() == Direction::Downlink => {
-                (Work::Replicate { copies: self.cfg.ru_macs.len() }, XdpPlacement::Userspace)
-            }
-            Body::UPlane(_) => (Work::Cache, XdpPlacement::Userspace),
-            Body::Recovery(_) => (Work::Forward, XdpPlacement::Kernel),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -265,6 +274,7 @@ mod tests {
     use rb_fronthaul::cplane::{CPlaneRepr, SectionFields};
     use rb_fronthaul::eaxc::{Eaxc, EaxcMapping};
     use rb_fronthaul::iq::{IqSample, Prb};
+    use rb_fronthaul::msg::Body;
     use rb_fronthaul::timing::SymbolId;
     use rb_fronthaul::uplane::{UPlaneRepr, USection};
     use rb_netsim::time::SimTime;
@@ -332,6 +342,30 @@ mod tests {
         assert_eq!(dsts, vec![mac(21), mac(22), mac(23)]);
         assert!(out.iter().all(|m| m.eth.src == mac(10)));
         assert_eq!(mb.stats.dl_replicated, 1);
+    }
+
+    #[test]
+    fn das_stats_merge_sums_every_counter() {
+        let a = DasStats {
+            dl_replicated: 1,
+            ul_cached: 2,
+            ul_merges: 3,
+            ul_partial_merges: 4,
+            merge_errors: 5,
+            unknown_src: 6,
+        };
+        let mut sum = a;
+        sum.merge(&a);
+        sum.merge(&DasStats::default());
+        let want = DasStats {
+            dl_replicated: 2,
+            ul_cached: 4,
+            ul_merges: 6,
+            ul_partial_merges: 8,
+            merge_errors: 10,
+            unknown_src: 12,
+        };
+        assert_eq!(sum, want);
     }
 
     #[test]
@@ -409,7 +443,7 @@ mod tests {
         mb.handle(&mut ctx(&mut cache, &tx), ul_uplane(mac(23), 1, 0));
         let events = rx.drain();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].source, "das-test");
+        assert_eq!(&*events[0].source, "das-test");
     }
 
     fn ul_uplane_sym(src: EthernetAddress, amp: i16, port: u8, symbol: u8) -> FhMessage {

@@ -221,11 +221,6 @@ impl Middlebox for Dmimo {
             self.uplink(ctx, msg, out);
         }
     }
-
-    fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {
-        // Header-only remapping runs in the kernel XDP program (Table 1).
-        (Work::InspectHeaders { prbs: 0 }, XdpPlacement::Kernel)
-    }
 }
 
 #[cfg(test)]
@@ -408,10 +403,13 @@ mod tests {
     }
 
     #[test]
-    fn classify_is_kernel_header_work() {
-        let mb = dmimo();
-        let (w, p) = mb.classify(&dl_uplane(0, 0, 4));
-        assert_eq!(w, Work::InspectHeaders { prbs: 0 });
-        assert_eq!(p, XdpPlacement::Kernel, "Table 1: dMIMO runs in-kernel");
+    fn remap_charges_kernel_header_work() {
+        let mut mb = dmimo();
+        let mut cache = SymbolCache::new(8);
+        let tel = TelemetrySender::disconnected("t");
+        let mut c = ctx(&mut cache, &tel);
+        mb.handle(&mut c, dl_uplane(2, 0, 4));
+        // Header-only remapping runs in the kernel XDP program (Table 1).
+        assert_eq!(c.charges, vec![(Work::InspectHeaders { prbs: 0 }, XdpPlacement::Kernel)]);
     }
 }

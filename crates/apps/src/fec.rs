@@ -151,10 +151,6 @@ impl Middlebox for FecEncoderMb {
     fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         self.on_data(ctx, msg, out);
     }
-
-    fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {
-        (Work::Cache, XdpPlacement::Userspace)
-    }
 }
 
 /// Aggregate counters of a [`FecDecoderMb`].
@@ -276,10 +272,6 @@ impl Middlebox for FecDecoderMb {
             Repair::Unrecoverable { .. } => counters::bump(&mut self.stats.unrecoverable),
             Repair::Malformed => counters::bump(&mut self.stats.malformed),
         }
-    }
-
-    fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {
-        (Work::Cache, XdpPlacement::Userspace)
     }
 }
 

@@ -317,16 +317,6 @@ impl Middlebox for PrbMon {
         }
         self.forward(msg, out);
     }
-
-    fn classify(&self, msg: &FhMessage) -> (Work, XdpPlacement) {
-        match &msg.body {
-            Body::UPlane(up) if msg.eaxc.ru_port == self.cfg.port => {
-                let prbs = up.sections.iter().map(|s| usize::from(s.num_prb())).sum();
-                (Work::InspectHeaders { prbs }, XdpPlacement::Kernel)
-            }
-            _ => (Work::Forward, XdpPlacement::Kernel),
-        }
-    }
 }
 
 #[cfg(test)]

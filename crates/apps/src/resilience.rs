@@ -176,10 +176,6 @@ impl Middlebox for Resilience {
             }
         }
     }
-
-    fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {
-        (Work::Forward, XdpPlacement::Kernel)
-    }
 }
 
 #[cfg(test)]
@@ -313,6 +309,6 @@ mod tests {
         r.on_tick(&mut ctx_at(&mut cache, &tx, 5_000_000), WATCHDOG_TICK, &mut Vec::new());
         let events = rx.drain();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].source, "resil");
+        assert_eq!(&*events[0].source, "resil");
     }
 }

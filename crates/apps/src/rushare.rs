@@ -166,16 +166,13 @@ pub struct RuShare {
     zero_payload: HashMap<u8, Vec<u8>>,
     /// Highest absolute symbol observed, for state-horizon purging.
     horizon: u64,
-    /// Slots a per-slot state entry survives behind the horizon before it
-    /// is purged (a lost C-plane packet poisons at most this many slots).
-    slot_horizon: u64,
     /// Counters.
     pub stats: RuShareStats,
 }
 
-/// Default [`RuShare::with_slot_horizon`]: matches the pre-configurable
-/// behavior of purging state more than 8 slots behind.
-const DEFAULT_SLOT_HORIZON: u64 = 8;
+/// Slots a per-slot state entry survives behind the horizon before it is
+/// purged (a lost C-plane packet poisons at most this many slots).
+const SLOT_HORIZON: u64 = 8;
 
 impl RuShare {
     /// Build an RU-sharing middlebox. Panics if a DU's spectrum does not
@@ -214,17 +211,8 @@ impl RuShare {
             prach_orig: HashMap::new(),
             zero_payload: HashMap::new(),
             horizon: 0,
-            slot_horizon: DEFAULT_SLOT_HORIZON,
             stats: RuShareStats::default(),
         }
-    }
-
-    /// Change how many slots per-slot C-plane/PRACH state survives behind
-    /// the newest observed slot (minimum 1). Shorter horizons shed state
-    /// from lossy peers faster; longer ones tolerate more reordering.
-    pub fn with_slot_horizon(mut self, slots: u64) -> RuShare {
-        self.slot_horizon = slots.max(1);
-        self
     }
 
     /// Drop per-slot state older than a few slots behind `symbol` — sheds
@@ -239,10 +227,9 @@ impl RuShare {
             self.horizon = now;
         }
         let horizon = self.horizon;
-        let slot_horizon = self.slot_horizon;
         let stale = |sym: &SymbolId| {
             let s = u64::from(sym.absolute_slot(n));
-            s.saturating_add(slot_horizon) < horizon
+            s.saturating_add(SLOT_HORIZON) < horizon
         };
         self.cplane.retain(|(sym, _, _), _| !stale(sym));
         self.prach_pending.retain(|(sym, _), _| !stale(sym));
@@ -896,17 +883,6 @@ impl Middlebox for RuShare {
             counters::bump(&mut self.stats.dropped);
         }
     }
-
-    fn classify(&self, msg: &FhMessage) -> (Work, XdpPlacement) {
-        match &msg.body {
-            Body::CPlane(_) => (Work::Cache, XdpPlacement::Userspace),
-            Body::UPlane(up) => {
-                let prbs = up.sections.iter().map(|s| usize::from(s.num_prb())).sum();
-                (Work::InspectHeaders { prbs }, XdpPlacement::Userspace)
-            }
-            Body::Recovery(_) => (Work::Forward, XdpPlacement::Kernel),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1321,39 +1297,5 @@ mod purge_tests {
             "per-slot C-plane state bounded by the horizon: {}",
             mb.cplane.len()
         );
-    }
-
-    #[test]
-    fn slot_horizon_is_configurable() {
-        // A 2-slot horizon keeps strictly less state than the default 8.
-        let mut mb = RuShare::new("purge-short", cfg()).with_slot_horizon(2);
-        let mut cache = SymbolCache::new(64);
-        let tel = TelemetrySender::disconnected("t");
-        let n = Numerology::Mu1;
-        let mut symbol = SymbolId::ZERO;
-        for _ in 0..50 {
-            let msg = FhMessage::new(
-                mac(1),
-                mac(10),
-                Eaxc::port(0),
-                0,
-                Body::CPlane(CPlaneRepr::single(
-                    Direction::Downlink,
-                    symbol,
-                    CompressionMethod::BFP9,
-                    SectionFields::data(0, 0, 50, 14),
-                )),
-            );
-            let mut ctx = MbContext {
-                now: SimTime(0),
-                cache: &mut cache,
-                telemetry: &tel,
-                mapping: EaxcMapping::DEFAULT,
-                charges: Vec::new(),
-            };
-            mb.handle(&mut ctx, msg);
-            symbol = symbol.next_slot(n);
-        }
-        assert!(mb.cplane.len() <= 4, "2-slot horizon bounds state tighter: {}", mb.cplane.len());
     }
 }

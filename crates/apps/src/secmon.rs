@@ -157,11 +157,6 @@ impl Middlebox for SecMon {
     fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         self.inspect(ctx, msg, out);
     }
-
-    fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {
-        // Pure header inspection: kernel-placeable, as §8.1 argues.
-        (Work::InspectHeaders { prbs: 0 }, XdpPlacement::Kernel)
-    }
 }
 
 #[cfg(test)]

@@ -134,10 +134,6 @@ impl Middlebox for Tap {
     fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         self.forward(ctx, msg, out);
     }
-
-    fn classify(&self, _msg: &FhMessage) -> (Work, XdpPlacement) {
-        (Work::Forward, XdpPlacement::Kernel)
-    }
 }
 
 #[cfg(test)]

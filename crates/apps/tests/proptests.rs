@@ -10,32 +10,41 @@
 //! * the PRB monitor's estimate equals a manual exponent count;
 //! * the three per-stream sequence trackers (pipeline gap counter, ARQ
 //!   receive tracker, bond dedup window) classify every `(last, seq)`
-//!   pair the way `ecpri::seq_step` does.
+//!   pair the way `ecpri::seq_step` does;
+//! * every reference application charges for every frame it answers:
+//!   a handler call that emits leaves an entry in `ctx.charges`.
 
 use proptest::prelude::*;
 
+use rb_apps::arq::{ArqReceiver, ArqSender};
 use rb_apps::das::{Das, DasConfig};
 use rb_apps::dmimo::{Dmimo, DmimoConfig, PhysicalRu, SsbBand};
+use rb_apps::fec::{FecDecoderMb, FecEncoderMb};
 use rb_apps::prbmon::{PrbMon, PrbMonConfig};
+use rb_apps::resilience::{Resilience, ResilienceConfig};
 use rb_apps::rushare::{Alignment, CarrierSpec, RuShare, RuShareConfig, SharedDu};
+use rb_apps::secmon::{SecMon, SecMonConfig};
+use rb_apps::tap::{Tap, TapConfig};
 use rb_core::cache::SymbolCache;
 use rb_core::middlebox::{MbContext, Middlebox, Passthrough};
 use rb_core::pipeline::MbPipeline;
 use rb_core::telemetry::TelemetrySender;
 use rb_fronthaul::bfp::CompressionMethod;
-use rb_fronthaul::cplane::{CPlaneRepr, SectionFields};
+use rb_fronthaul::cplane::{CPlaneRepr, Section3, SectionFields, Sections};
 use rb_fronthaul::eaxc::{Eaxc, EaxcMapping};
 use rb_fronthaul::ecpri::{seq_step, SeqStep};
 use rb_fronthaul::ether::EthernetAddress;
 use rb_fronthaul::freq;
 use rb_fronthaul::iq::{IqSample, Prb, SAMPLES_PER_PRB};
 use rb_fronthaul::msg::{Body, FhMessage};
-use rb_fronthaul::timing::SymbolId;
+use rb_fronthaul::recovery::RecoveryRepr;
+use rb_fronthaul::timing::{Numerology, SymbolId};
 use rb_fronthaul::uplane::{UPlaneRepr, USection};
 use rb_fronthaul::Direction;
-use rb_netsim::time::SimTime;
+use rb_netsim::time::{SimDuration, SimTime};
 use rb_recover::arq::{GapVerdict, RxTracker};
 use rb_recover::dedup::DedupWindow;
+use rb_recover::fec::FecConfig;
 
 fn mac(last: u8) -> EthernetAddress {
     EthernetAddress::new(2, 0, 0, 0, 0, last)
@@ -74,8 +83,229 @@ fn ul_msg(src: EthernetAddress, prbs: &[Prb]) -> FhMessage {
     )
 }
 
+/// One generated frame: `(sender, kind, downlink, port, seq, symbol,
+/// start PRB, PRB count)`. Senders index [`PEERS`]; kinds are listed at
+/// [`frame_of`].
+type FrameSpec = (usize, u8, bool, u8, u8, u8, u16, u16);
+
+/// DU A, DU B, RU A, RU B, a recovery peer and a stranger.
+const PEERS: [u8; 6] = [1, 2, 21, 22, 30, 99];
+
+fn arb_frames() -> impl Strategy<Value = Vec<FrameSpec>> {
+    let frame =
+        (0usize..6, 0u8..6, any::<bool>(), 0u8..4, any::<u8>(), 0u8..28, 0u16..110, 1u16..6);
+    proptest::collection::vec(frame, 1..48)
+}
+
+/// Kinds: 0 data C-plane, 1 U-plane of a few PRBs, 2 full-spectrum U-plane
+/// (what a shared RU returns), 3 PRACH C-plane (section type 3), 4 PRACH
+/// U-plane response, 5 recovery NACK. Symbols span two slots so C-plane
+/// state and the U-plane that needs it meet.
+fn frame_of((src, kind, dl, port, seq, sym, start, num): FrameSpec) -> FhMessage {
+    let dir = if dl { Direction::Downlink } else { Direction::Uplink };
+    let symbol = (0..sym).fold(SymbolId::ZERO, |s, _| s.next(Numerology::Mu1));
+    let bfp = CompressionMethod::BFP9;
+    let zeros = |id: u16, start: u16, n: u16| {
+        USection::from_prbs(id, start, &vec![Prb::ZERO; usize::from(n)], bfp).unwrap()
+    };
+    let body = match kind {
+        0 => Body::CPlane(CPlaneRepr::single(
+            dir,
+            symbol,
+            bfp,
+            SectionFields::data(0, start, num, 14),
+        )),
+        1 => Body::UPlane(UPlaneRepr::single(dir, symbol, zeros(0, start, num))),
+        2 => Body::UPlane(UPlaneRepr::single(dir, symbol, zeros(0, 0, 273))),
+        3 => Body::CPlane(CPlaneRepr {
+            direction: Direction::Uplink,
+            filter_index: 1,
+            symbol,
+            sections: Sections::Type3 {
+                time_offset: 0,
+                frame_structure: 0xb1,
+                cp_length: 0,
+                comp: bfp,
+                sections: vec![Section3 {
+                    fields: SectionFields::data(0, 0, 12, 12),
+                    frequency_offset: i32::from(start) * 6,
+                }],
+            },
+        }),
+        4 => Body::UPlane(UPlaneRepr {
+            direction: Direction::Uplink,
+            filter_index: 1,
+            symbol,
+            sections: vec![zeros(1, 0, 12), zeros(2, 0, 12)],
+        }),
+        _ => Body::Recovery(RecoveryRepr::nack(dir, seq, num | 1)),
+    };
+    // PRACH occasions are keyed by (slot, port): keep them on one port so
+    // the DUs' requests and the RU's response meet.
+    let port = if matches!(kind, 3 | 4) { 0 } else { port };
+    FhMessage::new(mac(PEERS[src]), mac(10), Eaxc::port(port), seq, body)
+}
+
+/// Run `msg` through `mb` with a fresh context and return what it emitted;
+/// fails the case if it emitted anything without charging for it.
+fn handle_charged<M: Middlebox>(
+    mb: &mut M,
+    cache: &mut SymbolCache,
+    msg: FhMessage,
+) -> Result<Vec<FhMessage>, TestCaseError> {
+    with_ctx(cache, |ctx| {
+        let out = mb.handle(ctx, msg);
+        prop_assert!(
+            out.is_empty() || !ctx.charges.is_empty(),
+            "{} emitted {} message(s) and charged nothing",
+            mb.name(),
+            out.len()
+        );
+        Ok(out)
+    })
+}
+
+/// [`handle_charged`] over every frame, one symbol cache per middlebox.
+fn all_charged<M: Middlebox>(mut mb: M, frames: &[FrameSpec]) -> Result<(), TestCaseError> {
+    let mut cache = SymbolCache::new(256);
+    for &spec in frames {
+        handle_charged(&mut mb, &mut cache, frame_of(spec))?;
+    }
+    Ok(())
+}
+
+/// Drive a recovery pair over a lossy link: every generated frame enters
+/// `near` as the next frame of its port's stream, what `near` emits crosses
+/// to `far` unless the frame's `downlink` bit says the link ate it (control
+/// frames always cross), and whatever `far` addresses back to `near` (NACKs)
+/// is answered, the answer crossing loss-free.
+fn pair_charged<A: Middlebox, B: Middlebox>(
+    mut near: A,
+    mut far: B,
+    near_mac: EthernetAddress,
+    frames: &[FrameSpec],
+) -> Result<(), TestCaseError> {
+    let (mut near_cache, mut far_cache) = (SymbolCache::new(256), SymbolCache::new(256));
+    let mut next_seq = [0u8; 4];
+    for &(src, kind, lost, port, _, sym, start, num) in frames {
+        let seq = &mut next_seq[usize::from(port)];
+        let msg = frame_of((src, kind % 2, true, port, *seq, sym, start, num));
+        *seq = seq.wrapping_add(1);
+        for crossing in handle_charged(&mut near, &mut near_cache, msg)? {
+            if lost && !matches!(crossing.body, Body::Recovery(_)) {
+                continue;
+            }
+            for back in handle_charged(&mut far, &mut far_cache, crossing)? {
+                if back.eth.dst != near_mac {
+                    continue;
+                }
+                for replay in handle_charged(&mut near, &mut near_cache, back)? {
+                    handle_charged(&mut far, &mut far_cache, replay)?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn every_app_charges_for_every_frame_it_answers(frames in arb_frames()) {
+        const RU_CENTER: i64 = 3_460_000_000;
+        let (mb_mac, du, du_b, ru, ru_b) = (mac(10), mac(1), mac(2), mac(21), mac(22));
+        all_charged(
+            Das::new("das", DasConfig { mb_mac, du_mac: du, ru_macs: vec![ru, ru_b] }),
+            &frames,
+        )?;
+        all_charged(
+            Dmimo::new(
+                "dmimo",
+                DmimoConfig {
+                    mb_mac,
+                    du_mac: du,
+                    rus: vec![PhysicalRu { mac: ru, ports: 2 }, PhysicalRu { mac: ru_b, ports: 2 }],
+                    ssb_copy: true,
+                    ssb: Some(SsbBand { start_prb: 0, num_prb: 273 }),
+                },
+            ),
+            &frames,
+        )?;
+        let shared = |mac, du_id, offset| SharedDu {
+            mac,
+            du_id,
+            carrier: CarrierSpec {
+                center_hz: freq::aligned_du_center_hz(RU_CENTER, 273, 106, offset, 30_000),
+                num_prb: 106,
+                scs_hz: 30_000,
+            },
+        };
+        for second_du_shift in [0, 6 * 30_000] {
+            // Aligned, then DU B half a PRB off the RU grid.
+            let mut dus = vec![shared(du, 1, 0), shared(du_b, 2, 106)];
+            dus[1].carrier.center_hz += second_du_shift;
+            let cfg = RuShareConfig {
+                mb_mac,
+                ru_mac: ru,
+                ru: CarrierSpec { center_hz: RU_CENTER, num_prb: 273, scs_hz: 30_000 },
+                dus,
+            };
+            all_charged(RuShare::new("rushare", cfg), &frames)?;
+        }
+        all_charged(PrbMon::new("prbmon", PrbMonConfig::standard(mb_mac, du, ru, 273)), &frames)?;
+        all_charged(
+            Tap::new("tap", TapConfig { mb_mac, du_mac: du, ru_mac: ru, ring_capacity: 8 }),
+            &frames,
+        )?;
+        all_charged(
+            SecMon::new(
+                "secmon",
+                SecMonConfig {
+                    mb_mac,
+                    du_macs: vec![du, du_b],
+                    ru_macs: vec![ru, ru_b],
+                    towards_ru: ru,
+                    towards_du: du,
+                    carrier_prbs: 273,
+                },
+            ),
+            &frames,
+        )?;
+        all_charged(
+            Resilience::new(
+                "resilience",
+                ResilienceConfig {
+                    mb_mac,
+                    primary_mac: du,
+                    standby_mac: du_b,
+                    ru_mac: ru,
+                    failure_timeout: SimDuration::from_micros(500),
+                },
+            ),
+            &frames,
+        )?;
+        // The recovery halves, each on arbitrary input first, then as a
+        // pair so replays, NACKs, parity and repairs actually happen.
+        let (near, far, beyond) = (mac(10), mac(33), mac(40));
+        let fec = FecConfig::new(4, 2).unwrap();
+        all_charged(ArqSender::new("arq-s", near, far, 64), &frames)?;
+        all_charged(ArqReceiver::new("arq-r", near, beyond, mac(30)), &frames)?;
+        all_charged(FecEncoderMb::new("fec-e", near, far, fec), &frames)?;
+        all_charged(FecDecoderMb::new("fec-d", near, beyond, 64), &frames)?;
+        pair_charged(
+            ArqSender::new("arq-s", near, far, 64),
+            ArqReceiver::new("arq-r", far, beyond, near),
+            near,
+            &frames,
+        )?;
+        pair_charged(
+            FecEncoderMb::new("fec-e", near, far, fec),
+            FecDecoderMb::new("fec-d", far, beyond, 64),
+            near,
+            &frames,
+        )?;
+    }
 
     #[test]
     fn das_merge_is_elementwise_sum(

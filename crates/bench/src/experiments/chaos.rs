@@ -187,7 +187,7 @@ fn measure(cap: &[u8], frames_in: u64, drop: f64, reorder: f64) -> Point {
         .drain()
         .iter()
         .filter_map(|r| match &r.event {
-            TelemetryEvent::Counter { name, delta } if name == "das_partial_merge" => Some(*delta),
+            TelemetryEvent::Counter { name, delta } if *name == "das_partial_merge" => Some(*delta),
             _ => None,
         })
         .sum();

@@ -1,16 +1,20 @@
 //! Table 1 — where each application's packet processing runs in the XDP
 //! implementation: in the kernel XDP program, or in userspace behind an
-//! AF_XDP socket. Read directly from each middlebox's `classify`
-//! declaration, which is also what drives the Figure 16 accounting.
+//! AF_XDP socket. Read from behaviour, not from a declaration: a sample
+//! C-plane and a sample U-plane frame go through each middlebox's handler,
+//! and the placements it charges for them — the same charges the Figure
+//! 15a/16 accounting prices — decide the column.
 
 use ranbooster::apps::das::{Das, DasConfig};
 use ranbooster::apps::dmimo::{Dmimo, DmimoConfig, PhysicalRu, SsbBand};
 use ranbooster::apps::prbmon::{PrbMon, PrbMonConfig};
 use ranbooster::apps::rushare::{CarrierSpec, RuShare, RuShareConfig, SharedDu};
-use ranbooster::core::middlebox::Middlebox;
+use ranbooster::core::cache::SymbolCache;
+use ranbooster::core::middlebox::{MbContext, Middlebox};
+use ranbooster::core::telemetry::TelemetrySender;
 use ranbooster::fronthaul::bfp::CompressionMethod;
 use ranbooster::fronthaul::cplane::{CPlaneRepr, SectionFields};
-use ranbooster::fronthaul::eaxc::Eaxc;
+use ranbooster::fronthaul::eaxc::{Eaxc, EaxcMapping};
 use ranbooster::fronthaul::ether::EthernetAddress;
 use ranbooster::fronthaul::iq::Prb;
 use ranbooster::fronthaul::msg::{Body, FhMessage};
@@ -18,6 +22,7 @@ use ranbooster::fronthaul::timing::SymbolId;
 use ranbooster::fronthaul::uplane::{UPlaneRepr, USection};
 use ranbooster::fronthaul::Direction;
 use ranbooster::netsim::cost::XdpPlacement;
+use ranbooster::netsim::time::SimTime;
 
 use crate::report::Report;
 
@@ -51,12 +56,22 @@ fn sample_cplane() -> FhMessage {
     )
 }
 
-fn placement_of(mb: &dyn Middlebox) -> XdpPlacement {
+fn placement_of(mb: &mut dyn Middlebox) -> XdpPlacement {
+    let mut cache = SymbolCache::new(64);
+    let telemetry = TelemetrySender::disconnected(mb.name());
+    let mut ctx = MbContext {
+        now: SimTime(0),
+        cache: &mut cache,
+        telemetry: &telemetry,
+        mapping: EaxcMapping::DEFAULT,
+        charges: Vec::new(),
+    };
+    let mut out = Vec::new();
+    mb.handle_into(&mut ctx, sample_cplane(), &mut out);
+    mb.handle_into(&mut ctx, sample_uplane(), &mut out);
     // A middlebox is "userspace" if any of its packet classes needs the
     // AF_XDP path.
-    let (_, a) = mb.classify(&sample_cplane());
-    let (_, b) = mb.classify(&sample_uplane());
-    if a == XdpPlacement::Userspace || b == XdpPlacement::Userspace {
+    if ctx.charges.iter().any(|&(_, p)| p == XdpPlacement::Userspace) {
         XdpPlacement::Userspace
     } else {
         XdpPlacement::Kernel
@@ -80,11 +95,11 @@ pub fn run(_quick: bool) -> Report {
     )
     .columns(vec!["application", "kernel space", "userspace"]);
 
-    let das = Das::new(
+    let mut das = Das::new(
         "das",
         DasConfig { mb_mac: mac(10), du_mac: mac(1), ru_macs: vec![mac(20), mac(21)] },
     );
-    let dmimo = Dmimo::new(
+    let mut dmimo = Dmimo::new(
         "dmimo",
         DmimoConfig {
             mb_mac: mac(10),
@@ -95,7 +110,7 @@ pub fn run(_quick: bool) -> Report {
         },
     );
     let carrier = CarrierSpec { center_hz: 3_460_000_000, num_prb: 273, scs_hz: 30_000 };
-    let rushare = RuShare::new(
+    let mut rushare = RuShare::new(
         "rushare",
         RuShareConfig {
             mb_mac: mac(10),
@@ -112,13 +127,13 @@ pub fn run(_quick: bool) -> Report {
             }],
         },
     );
-    let prbmon = PrbMon::new("prbmon", PrbMonConfig::standard(mac(10), mac(1), mac(20), 273));
+    let mut prbmon = PrbMon::new("prbmon", PrbMonConfig::standard(mac(10), mac(1), mac(20), 273));
 
     for (name, mb) in [
-        ("DAS", &das as &dyn Middlebox),
-        ("dMIMO", &dmimo),
-        ("RU sharing", &rushare),
-        ("PRB monitoring", &prbmon),
+        ("DAS", &mut das as &mut dyn Middlebox),
+        ("dMIMO", &mut dmimo),
+        ("RU sharing", &mut rushare),
+        ("PRB monitoring", &mut prbmon),
     ] {
         let (k, u) = label(placement_of(mb));
         r.row(vec![name.to_string(), k.into(), u.into()]);

@@ -136,13 +136,6 @@ impl SymbolCache {
         self.map.remove(key).map(|e| e.msgs).unwrap_or_default()
     }
 
-    /// Drop every entry whose symbol differs from `keep` across all
-    /// streams — a simple horizon purge middleboxes call once per symbol
-    /// advance to shed stragglers.
-    pub fn purge_except_symbol(&mut self, keep: SymbolId) {
-        self.map.retain(|k, _| k.symbol == keep);
-    }
-
     /// Iterate over the live keys (unspecified order).
     pub fn keys(&self) -> impl Iterator<Item = &CacheKey> {
         self.map.keys()
@@ -277,19 +270,6 @@ mod tests {
         assert_eq!(cache.evictions, 0);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.count(&pinned), 1);
-    }
-
-    #[test]
-    fn purge_except_symbol() {
-        let mut cache = SymbolCache::new(16);
-        let s0 = SymbolId::ZERO;
-        let s1 = s0.next(Numerology::Mu1);
-        cache.insert(key(0, s0), msg(0));
-        cache.insert(key(1, s0), msg(1));
-        cache.insert(key(0, s1), msg(0));
-        cache.purge_except_symbol(s1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.count(&key(0, s1)), 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 
 use rb_fronthaul::ether::EthernetAddress;
-use rb_netsim::cost::{CostModel, CpuLedger};
+use rb_netsim::cost::{CostModel, CpuLedger, Work, XdpPlacement};
 use rb_netsim::engine::{Node, NodeEvent, Outbox};
 use rb_netsim::stats::LatencyStats;
 
@@ -88,8 +88,14 @@ impl<M: Middlebox> MiddleboxHost<M> {
         let outcome =
             self.pipeline.process(now, &frame, &mut |bytes: &[u8]| out.send(0, bytes.to_vec()));
         if let ProcessOutcome::Handled { class } = outcome {
+            // A frame that reached a handler cost at least a kernel-side
+            // forward, whether or not the handler said so.
+            let charges: &[(Work, XdpPlacement)] = match self.pipeline.last_charges() {
+                [] => &[(Work::Forward, XdpPlacement::Kernel)],
+                reported => reported,
+            };
             let mut total = rb_netsim::time::SimDuration::ZERO;
-            for &(work, placement) in self.pipeline.last_charges() {
+            for &(work, placement) in charges {
                 total = total.saturating_add(self.cost.packet_cost(work, placement));
             }
             self.ledger.charge_balanced(total);
@@ -259,7 +265,8 @@ mod tests {
         }
         engine.run_until(SimTime(1_000_000));
         let host = engine.node_as::<MiddleboxHost<Passthrough>>(host_id);
-        // 10 packets × (io 80 + forward 90) = 1700 ns of busy time.
+        // Passthrough charges nothing, so the host's forward default
+        // prices it: 10 packets × (io 80 + forward 90) = 1700 ns.
         assert_eq!(host.ledger().busy_time(0).as_nanos(), 1_700);
         let l = &host.latency[&TrafficClass::DlCPlane];
         assert_eq!(l.len(), 10);

@@ -27,8 +27,9 @@ pub struct MbContext<'a> {
     pub telemetry: &'a TelemetrySender,
     /// The deployment's eAxC bit allocation.
     pub mapping: EaxcMapping,
-    /// Work units reported by the handler for CPU accounting; when empty
-    /// the host falls back to [`Middlebox::classify`].
+    /// Work units the handler reported through [`MbContext::charge`]: the
+    /// only record of what the frame cost. [`crate::host::MiddleboxHost`]
+    /// prices them, and prices an empty ledger as one kernel-side forward.
     pub charges: Vec<(Work, XdpPlacement)>,
 }
 
@@ -39,8 +40,9 @@ impl MbContext<'_> {
     }
 
     /// Report a unit of work actually performed while handling the current
-    /// packet (e.g. a cache insert vs. a full IQ merge) so CPU accounting
-    /// reflects the stateful path taken, not just the packet type.
+    /// packet (e.g. a cache insert vs. a full IQ merge), and where it runs
+    /// under an XDP deployment (paper Table 1), so CPU accounting reflects
+    /// the stateful path taken, not just the packet type.
     pub fn charge(&mut self, work: Work, placement: XdpPlacement) {
         self.charges.push((work, placement));
     }
@@ -51,6 +53,11 @@ impl MbContext<'_> {
 /// The framework guarantees: messages are parsed and validated before the
 /// handler runs; emitted messages get fresh eCPRI sequence numbers per
 /// (destination, eAxC) stream; malformed input never reaches handlers.
+///
+/// A handler accounts for its work by calling [`MbContext::charge`] on the
+/// path it actually took; accounting never affects functionality. A handler
+/// that charges nothing is priced by the simulator host as a kernel-side
+/// forward (see [`crate::host::MiddleboxHost`]).
 pub trait Middlebox: 'static {
     /// Middlebox instance name (used in telemetry attribution).
     fn name(&self) -> &str;
@@ -77,14 +84,6 @@ pub trait Middlebox: 'static {
     /// Periodic housekeeping (cache purge etc.). Tags are forwarded from
     /// the hosting node's timers. Default: no-op.
     fn on_tick(&mut self, _ctx: &mut MbContext<'_>, _tag: u64, _out: &mut Vec<FhMessage>) {}
-
-    /// Estimate the unit of [`Work`] processing `msg` costs, and where that
-    /// work runs under an XDP deployment (paper Table 1). Used by the
-    /// hosting node for CPU accounting; does not affect functionality.
-    fn classify(&self, msg: &FhMessage) -> (Work, XdpPlacement) {
-        let _ = msg;
-        (Work::Forward, XdpPlacement::Kernel)
-    }
 
     /// Dispatch `msg` to the handler of its plane — the datapath entry
     /// point. `out` is the caller's reusable buffer, empty on entry when
@@ -128,10 +127,6 @@ impl Middlebox for Box<dyn Middlebox> {
 
     fn on_tick(&mut self, ctx: &mut MbContext<'_>, tag: u64, out: &mut Vec<FhMessage>) {
         self.as_mut().on_tick(ctx, tag, out);
-    }
-
-    fn classify(&self, msg: &FhMessage) -> (Work, XdpPlacement) {
-        self.as_ref().classify(msg)
     }
 }
 
@@ -298,10 +293,31 @@ mod tests {
     }
 
     #[test]
-    fn default_classify_is_forward_kernel() {
-        let pt = Passthrough::new("pt", mac(1), mac(2));
-        let (w, p) = pt.classify(&cmsg());
-        assert_eq!(w, Work::Forward);
-        assert_eq!(p, XdpPlacement::Kernel);
+    fn charges_hold_exactly_what_the_handler_reported() {
+        struct Charging;
+        impl Middlebox for Charging {
+            fn name(&self) -> &str {
+                "charging"
+            }
+            fn on_cplane(&mut self, ctx: &mut MbContext<'_>, _: FhMessage, _: &mut Vec<FhMessage>) {
+                ctx.charge(Work::Cache, XdpPlacement::Userspace);
+                ctx.charge(Work::Forward, XdpPlacement::Kernel);
+            }
+            fn on_uplane(&mut self, _: &mut MbContext<'_>, _: FhMessage, _: &mut Vec<FhMessage>) {}
+        }
+        let mut cache = SymbolCache::new(8);
+        let telemetry = TelemetrySender::disconnected("t");
+        let mut c = ctx(&mut cache, &telemetry);
+        Charging.handle(&mut c, cmsg());
+        assert_eq!(
+            c.charges,
+            vec![(Work::Cache, XdpPlacement::Userspace), (Work::Forward, XdpPlacement::Kernel)]
+        );
+        // A handler that reports nothing leaves the ledger empty: the
+        // forward default is the host's, not the trait's.
+        let mut c = ctx(&mut cache, &telemetry);
+        Charging.handle(&mut c, umsg());
+        Passthrough::new("pt", mac(1), mac(2)).handle(&mut c, cmsg());
+        assert!(c.charges.is_empty());
     }
 }

@@ -104,14 +104,55 @@ pub struct HostStats {
     /// fronthaul traffic, as opposed to foreign protocols or line noise
     /// (a subset of [`HostStats::parse_errors`]).
     pub frames_corrupt: u64,
+    /// Frames forwarded without gap/duplicate tracking because the rx
+    /// sequence map already held its maximum of 65 536 other streams —
+    /// non-zero only when a peer cycles source addresses.
+    pub seq_untracked: u64,
 }
+
+impl HostStats {
+    /// Add `other`'s counters to `self`'s (per-worker pipelines summed into
+    /// run totals).
+    pub fn merge(&mut self, other: &HostStats) {
+        // Exhaustive on purpose: a new counter that is not summed here is
+        // a compile error, not a total that silently reads zero.
+        let HostStats {
+            rx,
+            tx,
+            parse_errors,
+            not_for_us,
+            rule_drops,
+            emit_errors,
+            seq_gaps,
+            seq_dups,
+            frames_corrupt,
+            seq_untracked,
+        } = *other;
+        counters::bump_by(&mut self.rx, rx);
+        counters::bump_by(&mut self.tx, tx);
+        counters::bump_by(&mut self.parse_errors, parse_errors);
+        counters::bump_by(&mut self.not_for_us, not_for_us);
+        counters::bump_by(&mut self.rule_drops, rule_drops);
+        counters::bump_by(&mut self.emit_errors, emit_errors);
+        counters::bump_by(&mut self.seq_gaps, seq_gaps);
+        counters::bump_by(&mut self.seq_dups, seq_dups);
+        counters::bump_by(&mut self.frames_corrupt, frames_corrupt);
+        counters::bump_by(&mut self.seq_untracked, seq_untracked);
+    }
+}
+
+/// Most `(src, eAxC, direction)` rx streams one pipeline tracks for
+/// gaps and duplicates. The source MAC comes off the wire, so without a
+/// bound a sender cycling addresses grows the map for as long as it likes;
+/// the city scenario has 1 212 streams, and a full map is ~2 MiB.
+const RX_SEQ_STREAMS_MAX: usize = 65_536;
 
 /// What happened to one input frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcessOutcome {
     /// The frame reached the handler. The work charges the handler
-    /// reported (or the static [`Middlebox::classify`] fallback) are
-    /// available from [`MbPipeline::last_charges`] until the next call.
+    /// reported (none, if it reported none) are available from
+    /// [`MbPipeline::last_charges`] until the next call.
     Handled {
         /// Traffic class of the input message.
         class: TrafficClass,
@@ -247,7 +288,9 @@ impl<M: Middlebox> MbPipeline<M> {
     /// `(src, eAxC, direction)` stream with 8-bit wrapping arithmetic: a
     /// forward jump of `d` records `d - 1` gaps, a repeat or a backward
     /// jump records a duplicate (late replays do not rewind the stream
-    /// position).
+    /// position). Once [`RX_SEQ_STREAMS_MAX`] streams are tracked, frames
+    /// of any further stream are counted in [`HostStats::seq_untracked`]
+    /// instead; the tracked ones are unaffected.
     fn observe_seq(&mut self, src: EthernetAddress, eaxc_raw: u16, dir: Direction, seq: u8) {
         match self.rx_seq.get_mut(&(src, eaxc_raw, dir)) {
             Some(last) => match ecpri::seq_step(*last, seq) {
@@ -259,7 +302,11 @@ impl<M: Middlebox> MbPipeline<M> {
                 SeqStep::Repeat | SeqStep::Behind => counters::bump(&mut self.stats.seq_dups),
             },
             None => {
-                self.rx_seq.insert((src, eaxc_raw, dir), seq);
+                if self.rx_seq.len() < RX_SEQ_STREAMS_MAX {
+                    self.rx_seq.insert((src, eaxc_raw, dir), seq);
+                } else {
+                    counters::bump(&mut self.stats.seq_untracked);
+                }
             }
         }
     }
@@ -336,13 +383,7 @@ impl<M: Middlebox> MbPipeline<M> {
             );
         }
         let class = TrafficClass::of(&msg);
-        let fallback = self.mb.classify(&msg);
         self.run_handler(now, emit, |mb, ctx, out| mb.handle_into(ctx, msg, out));
-        // CPU accounting: prefer the work the handler reported; fall back
-        // to the static classification.
-        if self.charges.is_empty() {
-            self.charges.push(fallback);
-        }
         ProcessOutcome::Handled { class }
     }
 
@@ -432,7 +473,7 @@ mod tests {
             out.push(bytes.to_vec());
         });
         assert!(matches!(outcome, ProcessOutcome::Handled { class: TrafficClass::DlCPlane }));
-        assert_eq!(p.last_charges().len(), 1, "classify fallback recorded");
+        assert!(p.last_charges().is_empty(), "the ledger holds only what the handler reported");
         assert_eq!(out.len(), 1);
         assert_eq!(p.stats.rx, 1);
         assert_eq!(p.stats.tx, 1);
@@ -515,6 +556,65 @@ mod tests {
         // establishes a new counter without findings.
         p.process(SimTime(0), &cplane_bytes_port(mac(10), 200, 4), &mut sink);
         assert_eq!((p.stats.seq_gaps, p.stats.seq_dups), (3, 2));
+    }
+
+    #[test]
+    fn rx_seq_map_is_bounded_against_cycling_source_macs() {
+        // Regression: the key's source MAC comes off the wire, and every
+        // fresh one inserted an entry that was never removed.
+        let mut p = MbPipeline::new(Passthrough::new("pt", mac(10), mac(20)), mac(10));
+        let mut sink = |_: &[u8]| {};
+        // A legitimate stream, tracked before the flood starts.
+        for seq in [0u8, 1] {
+            p.process(SimTime(0), &cplane_bytes(mac(10), seq), &mut sink);
+        }
+        let mut frame = cplane_bytes(mac(10), 0);
+        const FLOOD: u64 = 100_000;
+        for k in 0..FLOOD {
+            // Source MAC is bytes 6..12; keep it clear of mac(1).
+            let k = k.to_be_bytes();
+            frame[6..12].copy_from_slice(&[6, 0, k[4], k[5], k[6], k[7]]);
+            p.process(SimTime(0), &frame, &mut sink);
+        }
+        assert_eq!(p.rx_seq.len(), RX_SEQ_STREAMS_MAX);
+        let tracked = RX_SEQ_STREAMS_MAX as u64 - 1;
+        assert_eq!(p.stats.seq_untracked, FLOOD - tracked);
+        assert_eq!(p.stats.tx, FLOOD + 2, "untracked frames are still forwarded");
+        // The stream tracked before the flood still is: 1 -> 4 is two gaps.
+        p.process(SimTime(0), &cplane_bytes(mac(10), 4), &mut sink);
+        assert_eq!((p.stats.seq_gaps, p.stats.seq_dups), (2, 0));
+    }
+
+    #[test]
+    fn host_stats_merge_sums_every_counter() {
+        let a = HostStats {
+            rx: 1,
+            tx: 2,
+            parse_errors: 3,
+            not_for_us: 4,
+            rule_drops: 5,
+            emit_errors: 6,
+            seq_gaps: 7,
+            seq_dups: 8,
+            frames_corrupt: 9,
+            seq_untracked: 10,
+        };
+        let mut sum = a;
+        sum.merge(&a);
+        sum.merge(&HostStats::default());
+        let want = HostStats {
+            rx: 2,
+            tx: 4,
+            parse_errors: 6,
+            not_for_us: 8,
+            rule_drops: 10,
+            emit_errors: 12,
+            seq_gaps: 14,
+            seq_dups: 16,
+            frames_corrupt: 18,
+            seq_untracked: 20,
+        };
+        assert_eq!(sum, want);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! consumer falls behind and the channel fills, new events are discarded
 //! and counted in the shared `telemetry_dropped` counter instead — the
 //! same back-pressure-free discipline the dataplane runtime applies to
-//! its packet rings.
+//! its packet rings. Sends never allocate either: counter and gauge names
+//! are `&'static str` (every name in the tree is a literal or a
+//! [`counters`] constant), the source is a shared `Arc<str>`, and the
+//! channel's slots are allocated when it is created.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -67,14 +70,14 @@ pub enum TelemetryEvent {
     /// A monotonically increasing counter changed by `delta`.
     Counter {
         /// Counter name, e.g. `"ul_packets"`.
-        name: String,
+        name: &'static str,
         /// Increment.
         delta: u64,
     },
     /// An instantaneous gauge reading.
     Gauge {
         /// Gauge name, e.g. `"pcie_util"`.
-        name: String,
+        name: &'static str,
         /// Current value.
         value: f64,
     },
@@ -92,8 +95,8 @@ pub enum TelemetryEvent {
 /// A timestamped, attributed telemetry record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryRecord {
-    /// Name of the emitting middlebox.
-    pub source: String,
+    /// Name of the emitting middlebox (shared with its sender).
+    pub source: Arc<str>,
     /// Simulated time in nanoseconds.
     pub at_ns: u64,
     /// The event.
@@ -106,7 +109,7 @@ pub struct TelemetryRecord {
 /// the datapath).
 #[derive(Debug, Clone)]
 pub struct TelemetrySender {
-    source: String,
+    source: Arc<str>,
     tx: Option<SyncSender<TelemetryRecord>>,
     dropped: Arc<AtomicU64>,
 }
@@ -114,13 +117,13 @@ pub struct TelemetrySender {
 impl TelemetrySender {
     /// A sender with no attached receiver — all events are discarded
     /// (without counting them as drops: there is no consumer to starve).
-    pub fn disconnected(source: impl Into<String>) -> TelemetrySender {
+    pub fn disconnected(source: impl Into<Arc<str>>) -> TelemetrySender {
         TelemetrySender { source: source.into(), tx: None, dropped: Arc::new(AtomicU64::new(0)) }
     }
 
     /// A sender on the same channel attributing its events to a different
     /// `source` (e.g. per-worker attribution in the dataplane runtime).
-    pub fn with_source(&self, source: impl Into<String>) -> TelemetrySender {
+    pub fn with_source(&self, source: impl Into<Arc<str>>) -> TelemetrySender {
         TelemetrySender {
             source: source.into(),
             tx: self.tx.clone(),
@@ -131,7 +134,7 @@ impl TelemetrySender {
     /// Emit an event at simulated time `at_ns`.
     pub fn emit(&self, at_ns: u64, event: TelemetryEvent) {
         if let Some(tx) = &self.tx {
-            let record = TelemetryRecord { source: self.source.clone(), at_ns, event };
+            let record = TelemetryRecord { source: Arc::clone(&self.source), at_ns, event };
             if tx.try_send(record).is_err() {
                 // Full or disconnected: either way the record is lost and
                 // the consumer should know how many it missed.
@@ -140,19 +143,14 @@ impl TelemetrySender {
         }
     }
 
-    /// Shorthand for a counter bump. Free when no receiver is attached:
-    /// the owned name is only built for a record that can be enqueued.
-    pub fn count(&self, at_ns: u64, name: &str, delta: u64) {
-        if self.tx.is_some() {
-            self.emit(at_ns, TelemetryEvent::Counter { name: name.to_string(), delta });
-        }
+    /// Shorthand for a counter bump.
+    pub fn count(&self, at_ns: u64, name: &'static str, delta: u64) {
+        self.emit(at_ns, TelemetryEvent::Counter { name, delta });
     }
 
-    /// Shorthand for a gauge reading; free when no receiver is attached.
-    pub fn gauge(&self, at_ns: u64, name: &str, value: f64) {
-        if self.tx.is_some() {
-            self.emit(at_ns, TelemetryEvent::Gauge { name: name.to_string(), value });
-        }
+    /// Shorthand for a gauge reading.
+    pub fn gauge(&self, at_ns: u64, name: &'static str, value: f64) {
+        self.emit(at_ns, TelemetryEvent::Gauge { name, value });
     }
 
     /// Records discarded because the channel was full (or the receiver was
@@ -195,7 +193,7 @@ impl TelemetryReceiver {
 
 /// Create a connected telemetry channel for a middlebox named `source`,
 /// bounded at [`DEFAULT_CAPACITY`] records.
-pub fn channel(source: impl Into<String>) -> (TelemetrySender, TelemetryReceiver) {
+pub fn channel(source: impl Into<Arc<str>>) -> (TelemetrySender, TelemetryReceiver) {
     channel_with_capacity(source, DEFAULT_CAPACITY)
 }
 
@@ -203,7 +201,7 @@ pub fn channel(source: impl Into<String>) -> (TelemetrySender, TelemetryReceiver
 /// When the channel is full further events are dropped (and counted),
 /// never blocking the emitting datapath.
 pub fn channel_with_capacity(
-    source: impl Into<String>,
+    source: impl Into<Arc<str>>,
     capacity: usize,
 ) -> (TelemetrySender, TelemetryReceiver) {
     let (tx, rx) = sync_channel(capacity.max(1));
@@ -226,9 +224,9 @@ mod tests {
         tx.emit(300, TelemetryEvent::PrbUtilization { downlink: true, utilized: 50, total: 273 });
         let got = rx.drain();
         assert_eq!(got.len(), 3);
-        assert_eq!(got[0].source, "das-1");
+        assert_eq!(&*got[0].source, "das-1");
         assert_eq!(got[0].at_ns, 100);
-        assert_eq!(got[0].event, TelemetryEvent::Counter { name: "ul_packets".into(), delta: 3 });
+        assert_eq!(got[0].event, TelemetryEvent::Counter { name: "ul_packets", delta: 3 });
         assert!(matches!(got[2].event, TelemetryEvent::PrbUtilization { utilized: 50, .. }));
     }
 
@@ -276,8 +274,8 @@ mod tests {
         w1.count(2, "rx", 1); // overflows
         let got = rx.drain();
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].source, "rt/w0");
-        assert_eq!(got[1].source, "rt/w1");
+        assert_eq!(&*got[0].source, "rt/w0");
+        assert_eq!(&*got[1].source, "rt/w1");
         assert_eq!(tx.dropped(), 1, "drop counter shared across derived senders");
     }
 

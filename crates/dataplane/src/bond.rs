@@ -163,16 +163,6 @@ impl<A: FrameIo, B: FrameIo> BondedIo<A, B> {
         (&self.a, &self.b)
     }
 
-    /// Mutable access to the members.
-    pub fn members_mut(&mut self) -> (&mut A, &mut B) {
-        (&mut self.a, &mut self.b)
-    }
-
-    /// Tear the bond down and return the members.
-    pub fn into_members(self) -> (A, B) {
-        (self.a, self.b)
-    }
-
     fn note_switch(&mut self, at_ns: u64) {
         counters::bump(&mut self.stats.link_switches);
         if let Some(t) = &self.telemetry {
@@ -572,7 +562,7 @@ mod tests {
         a_far.tx(f.clone());
         b_far.tx(f);
         drain(&mut bond);
-        let names: Vec<String> = rx_tele
+        let names: Vec<&str> = rx_tele
             .drain()
             .into_iter()
             .filter_map(|r| match r.event {
@@ -580,6 +570,6 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(names.contains(&counters::BOND_DEDUP_DROPS.to_string()));
+        assert!(names.contains(&counters::BOND_DEDUP_DROPS));
     }
 }

@@ -140,13 +140,6 @@ impl MemReplay {
             exhausted: false,
         })
     }
-
-    /// Switch to a discard sink (count transmissions, keep nothing) —
-    /// pure-throughput and allocation benchmarks.
-    pub fn discard_tx(mut self) -> MemReplay {
-        self.sink = TxSink::Discard(0);
-        self
-    }
 }
 
 impl PcapReplay<BufReader<File>> {
@@ -445,7 +438,11 @@ mod tests {
 
     #[test]
     fn replay_tx_batch_discard_counts() {
-        let mut io = MemReplay::from_bytes(capture(&[])).unwrap().discard_tx();
+        // A file replay without an output path discards what it is sent.
+        let path = std::env::temp_dir().join(format!("rb-io-discard-{}.pcap", std::process::id()));
+        std::fs::write(&path, capture(&[])).unwrap();
+        let mut io = PcapReplay::open(&path, None).unwrap();
+        std::fs::remove_file(&path).unwrap();
         let mut frames: Vec<RawFrame> =
             (0..7u64).map(|k| RawFrame { at_ns: k, bytes: vec![1u8; 8].into() }).collect();
         assert_eq!(io.tx_batch(&mut frames), 7);

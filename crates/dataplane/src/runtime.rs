@@ -23,6 +23,9 @@ use crate::ring::{ring, RingConsumer, RingProducer};
 use crate::stats::{CollectorStats, WorkerReport};
 use crate::worker;
 
+/// Receive/dequeue batch size, in frames.
+const BATCH: usize = 32;
+
 /// Configuration of one runtime instance.
 #[derive(Clone)]
 pub struct RuntimeConfig {
@@ -30,8 +33,6 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Capacity of each dispatcher→worker and worker→collector ring.
     pub ring_capacity: usize,
-    /// Receive/dequeue batch size.
-    pub batch: usize,
     /// The MAC address the hosted middleboxes receive on (the VF filter).
     pub mac: EthernetAddress,
     /// The deployment's eAxC bit allocation.
@@ -53,13 +54,12 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Defaults: 1 worker, 1024-slot rings, batches of 32, default eAxC
-    /// mapping, no telemetry.
+    /// Defaults: 1 worker, 1024-slot rings, default eAxC mapping, no
+    /// telemetry.
     pub fn new(mac: EthernetAddress) -> RuntimeConfig {
         RuntimeConfig {
             workers: 1,
             ring_capacity: 1024,
-            batch: 32,
             mac,
             mapping: EaxcMapping::DEFAULT,
             telemetry: None,
@@ -136,15 +136,7 @@ impl RuntimeReport {
     pub fn pipeline_totals(&self) -> HostStats {
         let mut t = HostStats::default();
         for w in &self.workers {
-            t.rx += w.pipeline.rx;
-            t.tx += w.pipeline.tx;
-            t.parse_errors += w.pipeline.parse_errors;
-            t.not_for_us += w.pipeline.not_for_us;
-            t.rule_drops += w.pipeline.rule_drops;
-            t.emit_errors += w.pipeline.emit_errors;
-            t.seq_gaps += w.pipeline.seq_gaps;
-            t.seq_dups += w.pipeline.seq_dups;
-            t.frames_corrupt += w.pipeline.frames_corrupt;
+            t.merge(&w.pipeline);
         }
         t
     }
@@ -177,7 +169,6 @@ impl Runtime {
         Io: FrameIo + ?Sized,
     {
         let n = cfg.workers.max(1);
-        let batch = cfg.batch.max(1);
         let mut report = RuntimeReport::default();
         report.collectors = vec![CollectorStats::default(); n];
         let mut in_rings: Vec<RingProducer<RawFrame>> = Vec::with_capacity(n);
@@ -201,7 +192,7 @@ impl Runtime {
             };
             let join = std::thread::Builder::new()
                 .name(format!("rb-dp-w{id}"))
-                .spawn(move || worker::run(id, pipeline, in_rx, out_tx, batch, telemetry))?;
+                .spawn(move || worker::run(id, pipeline, in_rx, out_tx, BATCH, telemetry))?;
             in_rings.push(in_tx);
             handles.push(WorkerHandle { join, out: out_rx });
         }
@@ -210,14 +201,14 @@ impl Runtime {
         // so the collector never falls a full run behind. Both scratch
         // buffers live for the whole run — the loop itself allocates
         // nothing per iteration.
-        let mut rx_buf: Vec<RawFrame> = Vec::with_capacity(batch);
-        let mut drain_buf: Vec<RawFrame> = Vec::with_capacity(batch);
+        let mut rx_buf: Vec<RawFrame> = Vec::with_capacity(BATCH);
+        let mut drain_buf: Vec<RawFrame> = Vec::with_capacity(BATCH);
         loop {
             rx_buf.clear();
-            match io.rx_batch(&mut rx_buf, batch) {
+            match io.rx_batch(&mut rx_buf, BATCH) {
                 RxPoll::Eof => break,
                 RxPoll::Idle => {
-                    if Self::drain(&mut handles, io, batch, &mut drain_buf, &mut report) == 0 {
+                    if Self::drain(&mut handles, io, &mut drain_buf, &mut report) == 0 {
                         std::thread::yield_now();
                     }
                 }
@@ -230,7 +221,7 @@ impl Runtime {
                             report.dispatched += 1;
                         }
                     }
-                    Self::drain(&mut handles, io, batch, &mut drain_buf, &mut report);
+                    Self::drain(&mut handles, io, &mut drain_buf, &mut report);
                 }
             }
         }
@@ -242,7 +233,7 @@ impl Runtime {
             r.close();
         }
         loop {
-            let drained = Self::drain(&mut handles, io, batch, &mut drain_buf, &mut report);
+            let drained = Self::drain(&mut handles, io, &mut drain_buf, &mut report);
             if drained == 0 && handles.iter().all(|h| h.out.is_finished()) {
                 break;
             }
@@ -267,14 +258,13 @@ impl Runtime {
     fn drain<Io: FrameIo + ?Sized>(
         handles: &mut [WorkerHandle],
         io: &mut Io,
-        batch: usize,
         buf: &mut Vec<RawFrame>,
         report: &mut RuntimeReport,
     ) -> usize {
         let mut moved = 0usize;
         for (lane, h) in handles.iter_mut().enumerate() {
             buf.clear();
-            let n = h.out.pop_batch(buf, batch);
+            let n = h.out.pop_batch(buf, BATCH);
             if n == 0 {
                 continue;
             }
@@ -452,7 +442,7 @@ mod tests {
         Runtime::run(&cfg, &mut io, |_| Passthrough::new("pt", mac(10), mac(20))).unwrap();
         let records = rx.drain();
         assert!(!records.is_empty());
-        assert!(records.iter().any(|r| r.source == "dp/w0"));
-        assert!(records.iter().any(|r| r.source == "dp/w1"));
+        assert!(records.iter().any(|r| &*r.source == "dp/w0"));
+        assert!(records.iter().any(|r| &*r.source == "dp/w1"));
     }
 }

@@ -304,6 +304,6 @@ mod tests {
         s.export(&tx, 123);
         let got = rx.drain();
         assert_eq!(got.len(), 10);
-        assert!(got.iter().all(|r| r.source == "w0" && r.at_ns == 123));
+        assert!(got.iter().all(|r| &*r.source == "w0" && r.at_ns == 123));
     }
 }

@@ -125,14 +125,6 @@ impl FhMessage {
         }
     }
 
-    /// Mutable recovery body access.
-    pub fn as_recovery_mut(&mut self) -> Option<&mut RecoveryRepr> {
-        match &mut self.body {
-            Body::Recovery(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// Total emitted frame length in bytes.
     pub fn wire_len(&self) -> usize {
         self.eth.header_len().saturating_add(ecpri::HEADER_LEN).saturating_add(self.body.wire_len())

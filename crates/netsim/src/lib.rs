@@ -11,7 +11,7 @@
 //! * [`cost`] — datapath cost models for DPDK and XDP (per-packet cost,
 //!   CPU-utilization accounting, slot-deadline checking).
 //! * [`power`] — server power model (paper Figure 14).
-//! * [`stats`] — throughput meters and latency histograms.
+//! * [`stats`] — latency sample collection with percentile queries.
 //! * [`rng`] — the seeded splitmix64 stream every random draw in the
 //!   workspace comes from.
 //!

@@ -1,45 +1,6 @@
-//! Measurement helpers: throughput meters, latency histograms, summaries.
+//! Measurement helpers: latency sample collection and summaries.
 
-use crate::time::{SimDuration, SimTime};
-
-/// Measures goodput in bits/second over a window of simulated time.
-#[derive(Debug, Clone)]
-pub struct ThroughputMeter {
-    start: SimTime,
-    bytes: u64,
-}
-
-impl ThroughputMeter {
-    /// Start measuring at `start`.
-    pub fn new(start: SimTime) -> ThroughputMeter {
-        ThroughputMeter { start, bytes: 0 }
-    }
-
-    /// Record `bytes` of delivered payload.
-    pub fn record(&mut self, bytes: u64) {
-        self.bytes += bytes;
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Mean throughput in megabits/second up to `now`.
-    pub fn mbps(&self, now: SimTime) -> f64 {
-        let secs = now.since(self.start).as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        (self.bytes as f64 * 8.0) / secs / 1e6
-    }
-
-    /// Restart the window at `now`.
-    pub fn reset(&mut self, now: SimTime) {
-        self.start = now;
-        self.bytes = 0;
-    }
-}
+use crate::time::SimDuration;
 
 /// A latency sample collector with percentile queries — backs the boxen
 /// plot of Figure 15b.
@@ -130,66 +91,9 @@ impl LatencyStats {
     }
 }
 
-/// A windowed time series: mean value per fixed-size bucket of simulated
-/// time (e.g. "average PRB utilization per second" for Figure 10c).
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    bucket: SimDuration,
-    acc: Vec<(f64, u64)>,
-}
-
-impl TimeSeries {
-    /// A series with `bucket`-sized windows starting at t=0.
-    pub fn new(bucket: SimDuration) -> TimeSeries {
-        assert!(bucket.as_nanos() > 0);
-        TimeSeries { bucket, acc: Vec::new() }
-    }
-
-    /// Record a sample at `at`.
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        let idx = (at.as_nanos() / self.bucket.as_nanos()) as usize;
-        if self.acc.len() <= idx {
-            self.acc.resize(idx + 1, (0.0, 0));
-        }
-        self.acc[idx].0 += value;
-        self.acc[idx].1 += 1;
-    }
-
-    /// Per-bucket means (empty buckets yield `None`).
-    pub fn means(&self) -> Vec<Option<f64>> {
-        self.acc.iter().map(|(sum, n)| if *n > 0 { Some(sum / *n as f64) } else { None }).collect()
-    }
-
-    /// Mean across every sample in the series.
-    pub fn overall_mean(&self) -> f64 {
-        let (sum, n) = self.acc.iter().fold((0.0, 0u64), |(s, c), (sum, n)| (s + sum, c + n));
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn throughput_meter_basic() {
-        let mut m = ThroughputMeter::new(SimTime::ZERO);
-        m.record(125_000_000); // 1 Gbit
-        assert_eq!(m.mbps(SimTime(1_000_000_000)), 1000.0);
-        assert_eq!(m.bytes(), 125_000_000);
-        m.reset(SimTime(1_000_000_000));
-        assert_eq!(m.mbps(SimTime(2_000_000_000)), 0.0);
-    }
-
-    #[test]
-    fn throughput_meter_zero_window() {
-        let m = ThroughputMeter::new(SimTime(5));
-        assert_eq!(m.mbps(SimTime(5)), 0.0);
-    }
 
     #[test]
     fn latency_percentiles() {
@@ -229,28 +133,5 @@ mod tests {
         assert!((l.fraction_below(SimDuration::from_nanos(300)) - 0.75).abs() < 1e-9);
         assert_eq!(l.percentile(50.0).as_nanos(), 200);
         assert!(l.percentile(90.0).as_micros_f64() > 4.0);
-    }
-
-    #[test]
-    fn time_series_buckets() {
-        let mut ts = TimeSeries::new(SimDuration::from_secs(1));
-        ts.record(SimTime(100), 10.0);
-        ts.record(SimTime(200), 20.0);
-        ts.record(SimTime(1_500_000_000), 30.0);
-        let means = ts.means();
-        assert_eq!(means.len(), 2);
-        assert_eq!(means[0], Some(15.0));
-        assert_eq!(means[1], Some(30.0));
-        assert_eq!(ts.overall_mean(), 20.0);
-    }
-
-    #[test]
-    fn time_series_sparse_buckets() {
-        let mut ts = TimeSeries::new(SimDuration::from_millis(1));
-        ts.record(SimTime(5_000_000), 1.0);
-        let means = ts.means();
-        assert_eq!(means.len(), 6);
-        assert_eq!(means[0], None);
-        assert_eq!(means[5], Some(1.0));
     }
 }

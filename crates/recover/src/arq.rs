@@ -99,14 +99,6 @@ impl RxTracker {
     pub fn is_missing(&self, seq: u8) -> bool {
         self.missing.get(seq)
     }
-
-    /// Forget a missing mark (e.g. after an out-of-band FEC repair
-    /// re-injected the frame). Returns whether the mark was set.
-    pub fn clear_missing(&mut self, seq: u8) -> bool {
-        let was = self.missing.get(seq);
-        self.missing.clear(seq);
-        was
-    }
 }
 
 /// Split the gap `first..first + count` into NACK-sized `(base, mask)`

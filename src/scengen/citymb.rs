@@ -263,18 +263,10 @@ impl CityMb {
     /// and chain stages).
     pub fn das_stats_sum(&self) -> DasStats {
         let mut sum = DasStats::default();
-        let add = |sum: &mut DasStats, s: &DasStats| {
-            sum.dl_replicated += s.dl_replicated;
-            sum.ul_cached += s.ul_cached;
-            sum.ul_merges += s.ul_merges;
-            sum.ul_partial_merges += s.ul_partial_merges;
-            sum.merge_errors += s.merge_errors;
-            sum.unknown_src += s.unknown_src;
-        };
         for site in &self.sites {
             match site {
-                SiteMb::Das(d) => add(&mut sum, &d.stats),
-                SiteMb::Chain(c) => add(&mut sum, &c.das.stats),
+                SiteMb::Das(d) => sum.merge(&d.stats),
+                SiteMb::Chain(c) => sum.merge(&c.das.stats),
                 _ => {}
             }
         }
