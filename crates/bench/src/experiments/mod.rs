@@ -1,6 +1,8 @@
 //! One module per paper table/figure. Each exposes
 //! `run(quick: bool) -> Report`; `quick` shortens warm-up/measurement
 //! windows (CI smoke mode) without changing the experiment's structure.
+//! (`dataplane_scale::run` also takes the scenario to replay, so its unit
+//! test can pass a small one; the binary always replays the city.)
 
 pub mod appendix_a2;
 pub mod chaos;
@@ -17,6 +19,8 @@ pub mod fig15b_latency;
 pub mod fig16_cpu;
 pub mod table1_placement;
 pub mod table2_dmimo;
+
+use ranbooster::scengen::ScenarioSpec;
 
 use crate::report::Report;
 
@@ -36,7 +40,7 @@ pub fn all(quick: bool) -> Vec<Report> {
         fig16_cpu::run(quick),
         table1_placement::run(quick),
         appendix_a2::run(quick),
-        dataplane_scale::run(quick),
+        dataplane_scale::run(ScenarioSpec::city(), quick),
         chaos::run(quick),
     ]
 }
@@ -57,7 +61,7 @@ pub fn by_id(id: &str, quick: bool) -> Option<Report> {
         "fig16" => fig16_cpu::run(quick),
         "table1" => table1_placement::run(quick),
         "a2" | "appendix_a2" => appendix_a2::run(quick),
-        "dataplane" => dataplane_scale::run(quick),
+        "dataplane" => dataplane_scale::run(ScenarioSpec::city(), quick),
         "chaos" => chaos::run(quick),
         _ => return None,
     })

@@ -9,13 +9,12 @@
 //! measurements of the paper's Figures 15–16. The identical pipeline runs
 //! on real packet I/O in `rb-dataplane`.
 
-use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 
 use rb_fronthaul::ether::EthernetAddress;
 use rb_netsim::cost::{CostModel, CpuLedger, Work, XdpPlacement};
 use rb_netsim::engine::{Node, NodeEvent, Outbox};
-use rb_netsim::stats::LatencyStats;
+use rb_netsim::stats::Histogram;
 
 use crate::middlebox::Middlebox;
 use crate::pipeline::{MbPipeline, ProcessOutcome};
@@ -33,8 +32,9 @@ pub struct MiddleboxHost<M: Middlebox> {
     cost: CostModel,
     ledger: CpuLedger,
     tick: Option<(rb_netsim::time::SimDuration, u64)>,
-    /// Modeled per-packet processing latency per traffic class.
-    pub latency: HashMap<TrafficClass, LatencyStats>,
+    /// Modeled per-packet processing latency in nanoseconds, one
+    /// histogram per traffic class (slot [`TrafficClass::index`]).
+    pub latency: [Histogram; TrafficClass::COUNT],
 }
 
 impl<M: Middlebox> MiddleboxHost<M> {
@@ -46,7 +46,7 @@ impl<M: Middlebox> MiddleboxHost<M> {
             ledger: CpuLedger::new(cost.datapath, cores),
             cost,
             tick: None,
-            latency: HashMap::new(),
+            latency: Default::default(),
         }
     }
 
@@ -99,7 +99,9 @@ impl<M: Middlebox> MiddleboxHost<M> {
                 total = total.saturating_add(self.cost.packet_cost(work, placement));
             }
             self.ledger.charge_balanced(total);
-            self.latency.entry(class).or_default().record(total);
+            if let Some(h) = self.latency.get_mut(class.index()) {
+                h.record(total.as_nanos());
+            }
         }
     }
 }
@@ -268,8 +270,8 @@ mod tests {
         // Passthrough charges nothing, so the host's forward default
         // prices it: 10 packets × (io 80 + forward 90) = 1700 ns.
         assert_eq!(host.ledger().busy_time(0).as_nanos(), 1_700);
-        let l = &host.latency[&TrafficClass::DlCPlane];
-        assert_eq!(l.len(), 10);
+        let l = &host.latency[TrafficClass::DlCPlane.index()];
+        assert_eq!((l.count(), l.max()), (10, 170));
     }
 
     #[test]

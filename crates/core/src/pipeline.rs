@@ -32,7 +32,7 @@ use crate::middlebox::{MbContext, Middlebox};
 use crate::telemetry::{counters, TelemetrySender};
 
 /// Traffic classes used for per-class latency accounting (Figure 15b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficClass {
     /// Downlink C-plane.
     DlCPlane,
@@ -45,6 +45,19 @@ pub enum TrafficClass {
 }
 
 impl TrafficClass {
+    /// Number of classes: the length of a per-class array.
+    pub const COUNT: usize = 4;
+
+    /// This class's slot in a `[_; TrafficClass::COUNT]`.
+    pub fn index(self) -> usize {
+        match self {
+            TrafficClass::DlCPlane => 0,
+            TrafficClass::DlUPlane => 1,
+            TrafficClass::UlCPlane => 2,
+            TrafficClass::UlUPlane => 3,
+        }
+    }
+
     /// Classify a parsed message.
     pub fn of(msg: &FhMessage) -> TrafficClass {
         match (msg.body.direction(), &msg.body) {

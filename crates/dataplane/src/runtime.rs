@@ -369,6 +369,34 @@ mod tests {
         }
     }
 
+    #[test]
+    fn shared_rules_reach_every_worker() {
+        use rb_core::mgmt::{Match, Rule, RuleAction};
+
+        // The paper's management interface, the one way it reaches a
+        // runtime worker: one table, cloned into every pipeline.
+        let rules = SharedRules::new();
+        rules.write().push(Rule {
+            matcher: Match { eaxc_raw: Some(5), ..Match::any() },
+            action: RuleAction::Drop,
+        });
+        let mut cfg = RuntimeConfig::new(mac(10)).with_workers(2);
+        cfg.rules = Some(rules);
+        let mut io = MemReplay::from_bytes(capture(160)).unwrap();
+        let report =
+            Runtime::run(&cfg, &mut io, |_| Passthrough::new("pt", mac(10), mac(20))).unwrap();
+        assert!(report.workers.iter().all(|w| w.stats.rx > 0), "both workers saw traffic");
+        let totals = report.pipeline_totals();
+        assert_eq!(totals.rule_drops, 10, "the 10 frames of eAxC 5, whichever worker got them");
+        assert_eq!(totals.rx, totals.tx + totals.rule_drops);
+        let out = io.take_tx();
+        assert_eq!(out.len(), 150, "every other frame is transmitted");
+        assert!(out.iter().all(|f| {
+            let msg = FhMessage::parse(&f.bytes, &EaxcMapping::DEFAULT).unwrap();
+            msg.eaxc.pack(&EaxcMapping::DEFAULT) != 5
+        }));
+    }
+
     /// A backend whose `tx_batch` accepts only every other frame (global
     /// parity, so the split is exact regardless of how the collector
     /// chops the stream into batches) — the partial-batch arm of the

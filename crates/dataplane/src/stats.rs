@@ -3,122 +3,14 @@
 //! Counters say *how much*; the two histograms say *how it felt*: the
 //! batch-size histogram shows whether workers run saturated (full
 //! batches) or poll-limited (singletons), and the queue-depth histogram
-//! shows how close each ring came to shedding. Both use power-of-two
-//! buckets so recording is one `leading_zeros` on the hot path, and both
-//! are exported over the bounded telemetry channel at shutdown.
+//! shows how close each ring came to shedding. Both are
+//! [`rb_netsim::stats::Histogram`]s — recording is one `leading_zeros` and
+//! a shift on the hot path — and both are exported over the bounded
+//! telemetry channel at shutdown.
 
 use rb_core::pipeline::HostStats;
 use rb_core::telemetry::TelemetrySender;
-use rb_hotpath_macros::rb_hot_path;
-
-/// Bucket count: value `v` lands in bucket `⌈log2(v+1)⌉`, clamped. Bucket
-/// 0 holds zeros, bucket 1 holds ones, bucket k holds the inclusive range
-/// `2^(k-1)..=2^k-1` (matching `bucket_of`: `bits(v) == k` exactly for
-/// those values), the last bucket holds everything ≥ 2^(BUCKETS-2).
-const BUCKETS: usize = 18;
-
-/// Index of the last (open-ended) bucket.
-const BUCKET_LAST: usize = BUCKETS - 1;
-
-/// A power-of-two-bucketed histogram of small integer samples.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram { buckets: [0; BUCKETS], count: 0, sum: 0, max: 0 }
-    }
-}
-
-impl Histogram {
-    fn bucket_of(v: u64) -> usize {
-        // `leading_zeros()` never exceeds `u64::BITS`, so the subtraction
-        // cannot underflow, and the result (≤ 64) converts exactly.
-        let bits = u64::BITS.saturating_sub(v.leading_zeros());
-        usize::try_from(bits).unwrap_or(BUCKET_LAST).min(BUCKET_LAST)
-    }
-
-    /// Record one sample.
-    #[rb_hot_path]
-    pub fn record(&mut self, v: u64) {
-        if let Some(b) = self.buckets.get_mut(Self::bucket_of(v)) {
-            *b = b.saturating_add(1);
-        }
-        self.count = self.count.saturating_add(1);
-        self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest sample recorded.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Upper bound (inclusive) of the bucket containing the q-quantile
-    /// sample (`q` in 0..=1) — e.g. `quantile_bound(0.99)` bounds p99.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (k, b) in self.buckets.iter().enumerate() {
-            seen = seen.saturating_add(*b);
-            if seen >= rank.max(1) {
-                return match k {
-                    0 => 0,
-                    // The last bucket is open-ended (everything ≥ its
-                    // lower edge lands there), so its only honest upper
-                    // bound is the actual maximum seen.
-                    _ if k == BUCKET_LAST => self.max,
-                    // `k < BUCKET_LAST = 17`, so the shift is in range and
-                    // the shifted value is ≥ 2: no wrap on either step.
-                    _ => 1u64.wrapping_shl(u32::try_from(k).unwrap_or(0)).wrapping_sub(1),
-                };
-            }
-        }
-        self.max
-    }
-
-    /// The raw bucket counts (bucket k counts samples in the inclusive
-    /// range `2^(k-1)..=2^k-1`, matching `bucket_of`).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Fold `other` into `self`: afterwards `self` describes the union of
-    /// both sample populations. This is how per-worker histograms become
-    /// a run-wide histogram — each worker records into its own private
-    /// instance and the collector merges *after* the threads have joined,
-    /// so no counter is ever shared (or even read) across live threads.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b = b.saturating_add(*o);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-}
+use rb_netsim::stats::Histogram;
 
 /// Counters and histograms for one worker thread.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -147,14 +39,26 @@ impl WorkerStats {
     /// Fold another worker's counters and histograms into `self` (see
     /// [`Histogram::merge`] for the aggregation model).
     pub fn merge(&mut self, other: &WorkerStats) {
-        self.rx = self.rx.saturating_add(other.rx);
-        self.tx = self.tx.saturating_add(other.tx);
-        self.batches = self.batches.saturating_add(other.batches);
-        self.rx_ring_dropped = self.rx_ring_dropped.saturating_add(other.rx_ring_dropped);
-        self.tx_ring_dropped = self.tx_ring_dropped.saturating_add(other.tx_ring_dropped);
-        self.pool_grows = self.pool_grows.saturating_add(other.pool_grows);
-        self.batch_size.merge(&other.batch_size);
-        self.queue_depth.merge(&other.queue_depth);
+        // Exhaustive on purpose: a new field is a compile error here, not
+        // a total that silently reads zero.
+        let WorkerStats {
+            rx,
+            tx,
+            batches,
+            rx_ring_dropped,
+            tx_ring_dropped,
+            pool_grows,
+            batch_size,
+            queue_depth,
+        } = other;
+        self.rx = self.rx.saturating_add(*rx);
+        self.tx = self.tx.saturating_add(*tx);
+        self.batches = self.batches.saturating_add(*batches);
+        self.rx_ring_dropped = self.rx_ring_dropped.saturating_add(*rx_ring_dropped);
+        self.tx_ring_dropped = self.tx_ring_dropped.saturating_add(*tx_ring_dropped);
+        self.pool_grows = self.pool_grows.saturating_add(*pool_grows);
+        self.batch_size.merge(batch_size);
+        self.queue_depth.merge(queue_depth);
     }
 
     /// Export the final counters and histogram summaries as telemetry
@@ -216,83 +120,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buckets_are_powers_of_two() {
-        let mut h = Histogram::default();
-        for v in [0, 1, 2, 3, 4, 7, 8, 1000] {
-            h.record(v);
+    fn worker_stats_merge_sums_every_field() {
+        let mut a = WorkerStats {
+            rx: 1,
+            tx: 2,
+            batches: 3,
+            rx_ring_dropped: 4,
+            tx_ring_dropped: 5,
+            pool_grows: 6,
+            ..WorkerStats::default()
+        };
+        a.batch_size.record(32);
+        a.queue_depth.record(700);
+        let mut sum = a.clone();
+        sum.merge(&a);
+        sum.merge(&WorkerStats::default());
+        let mut want = WorkerStats {
+            rx: 2,
+            tx: 4,
+            batches: 6,
+            rx_ring_dropped: 8,
+            tx_ring_dropped: 10,
+            pool_grows: 12,
+            ..WorkerStats::default()
+        };
+        for _ in 0..2 {
+            want.batch_size.record(32);
+            want.queue_depth.record(700);
         }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.max(), 1000);
-        assert_eq!(h.buckets()[0], 1, "one zero");
-        assert_eq!(h.buckets()[1], 1, "one one");
-        assert_eq!(h.buckets()[2], 2, "2 and 3");
-        assert_eq!(h.buckets()[3], 2, "4 and 7");
-        assert_eq!(h.buckets()[4], 1, "8");
-    }
-
-    #[test]
-    fn quantile_bounds() {
-        let mut h = Histogram::default();
-        for _ in 0..99 {
-            h.record(1);
-        }
-        h.record(100);
-        assert_eq!(h.quantile_bound(0.5), 1);
-        assert!(h.quantile_bound(1.0) >= 100);
-        assert_eq!(Histogram::default().quantile_bound(0.99), 0);
-    }
-
-    #[test]
-    fn overflow_bucket_reports_true_max() {
-        // Regression: the saturated last bucket used to report
-        // `(1 << (BUCKETS-1)) - 1` = 131071 regardless of the real value.
-        let mut h = Histogram::default();
-        h.record(1 << 20);
-        assert_eq!(h.quantile_bound(0.99), 1 << 20);
-        assert_eq!(h.quantile_bound(1.0), 1 << 20);
-        // A mixed population whose p99 lands in the overflow bucket.
-        let mut h = Histogram::default();
-        for _ in 0..50 {
-            h.record(1);
-        }
-        for _ in 0..50 {
-            h.record(5_000_000);
-        }
-        assert_eq!(h.quantile_bound(0.99), 5_000_000);
-        // Quantiles below the overflow bucket still use power-of-two bounds.
-        assert_eq!(h.quantile_bound(0.25), 1);
-    }
-
-    #[test]
-    fn mean_tracks_sum() {
-        let mut h = Histogram::default();
-        h.record(2);
-        h.record(4);
-        assert!((h.mean() - 3.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn merge_is_union_of_populations() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        let mut whole = Histogram::default();
-        for v in [0u64, 1, 3, 9] {
-            a.record(v);
-            whole.record(v);
-        }
-        for v in [2u64, 700, 1 << 20] {
-            b.record(v);
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole, "merged histogram equals recording everything into one");
-        assert_eq!(a.max(), 1 << 20);
-        assert!((a.mean() - whole.mean()).abs() < f64::EPSILON);
-
-        let mut wa = WorkerStats { rx: 5, tx: 4, batches: 2, ..WorkerStats::default() };
-        let wb = WorkerStats { rx: 7, tx: 7, tx_ring_dropped: 1, ..WorkerStats::default() };
-        wa.merge(&wb);
-        assert_eq!((wa.rx, wa.tx, wa.batches, wa.tx_ring_dropped), (12, 11, 2, 1));
+        assert_eq!(sum, want);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * [`cost`] — datapath cost models for DPDK and XDP (per-packet cost,
 //!   CPU-utilization accounting, slot-deadline checking).
 //! * [`power`] — server power model (paper Figure 14).
-//! * [`stats`] — latency sample collection with percentile queries.
+//! * [`stats`] — the bounded log-linear histogram every sample in the
+//!   workspace is summarised by.
 //! * [`rng`] — the seeded splitmix64 stream every random draw in the
 //!   workspace comes from.
 //!

@@ -1,10 +1,10 @@
 //! Property tests over the simulator invariants: event ordering, counter
-//! conservation, statistics monotonicity, cost-model monotonicity.
+//! conservation, histogram accuracy, cost-model monotonicity.
 
 use proptest::prelude::*;
 use rb_netsim::cost::{CostModel, SlotDeadline, Work, XdpPlacement};
 use rb_netsim::engine::{port, Engine, Node, NodeEvent, Outbox};
-use rb_netsim::stats::LatencyStats;
+use rb_netsim::stats::Histogram;
 use rb_netsim::time::{SimDuration, SimTime};
 
 /// Records (time, tag) of every timer it sees.
@@ -42,6 +42,12 @@ impl Node for Echo {
             out.send(0, frame);
         }
     }
+}
+
+/// Samples across the histogram's whole resolved range, small values as
+/// likely as large ones.
+fn arb_sample() -> impl Strategy<Value = u64> {
+    (0u64..1 << 40, 0u32..40).prop_map(|(v, shift)| v >> shift)
 }
 
 proptest! {
@@ -98,23 +104,47 @@ proptest! {
     }
 
     #[test]
-    fn latency_percentiles_are_monotone(samples in proptest::collection::vec(0u64..10_000_000, 1..200)) {
-        let mut stats = LatencyStats::new();
-        for s in &samples {
-            stats.record(SimDuration::from_nanos(*s));
+    fn histogram_quantiles_bound_an_exact_sorted_reference(
+        a in proptest::collection::vec(arb_sample(), 1..200),
+        b in proptest::collection::vec(arb_sample(), 0..200),
+        permille in proptest::collection::vec(0u32..=1000, 1..8),
+    ) {
+        let mut whole = Histogram::default();
+        let (mut ha, mut hb) = (Histogram::default(), Histogram::default());
+        for &s in &a {
+            ha.record(s);
+            whole.record(s);
         }
-        let ps: Vec<_> = [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0]
-            .iter()
-            .map(|p| stats.percentile(*p))
-            .collect();
-        for w in ps.windows(2) {
-            prop_assert!(w[0] <= w[1]);
+        for &s in &b {
+            hb.record(s);
+            whole.record(s);
         }
-        prop_assert_eq!(ps[0], stats.min());
-        prop_assert_eq!(ps[ps.len() - 1], stats.max());
-        let max = stats.max();
-        let below_max = stats.fraction_below(max);
-        prop_assert!((below_max - 1.0).abs() < 1e-9);
+        ha.merge(&hb);
+        prop_assert!(ha == whole, "merge is recording both populations into one");
+
+        let mut sorted: Vec<u64> = a.iter().chain(&b).copied().collect();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        prop_assert_eq!(whole.count(), n as u64);
+        prop_assert_eq!(whole.max(), sorted[n - 1]);
+        prop_assert_eq!(whole.quantile_bound(1.0), whole.max());
+
+        let mut permille = permille;
+        permille.sort_unstable();
+        let mut below = 0;
+        for p in permille {
+            let q = f64::from(p) / 1000.0;
+            // The type's own rank rule: the sample of rank ⌈q·n⌉, at least 1.
+            let rank = ((q * n as f64).ceil() as usize).max(1);
+            let exact = sorted[rank - 1];
+            let bound = whole.quantile_bound(q);
+            prop_assert!(
+                exact <= bound && bound <= exact + exact / 16 + 1,
+                "q {} of {} samples: exact {}, bound {}", q, n, exact, bound
+            );
+            prop_assert!(below <= bound, "monotone in q");
+            below = bound;
+        }
     }
 
     #[test]

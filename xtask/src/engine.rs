@@ -12,9 +12,12 @@ use crate::extract::{self, StaticDef};
 use crate::graph::{self, GlobalFn};
 use crate::lexer;
 
-/// Crates whose hot-path-reachable functions are held to the deny rules.
+/// Crates — or single modules, as `crate::module` — whose
+/// hot-path-reachable functions are held to the deny rules. `rb-netsim` is
+/// simulator code the packet path never runs, except `stats`: the workers
+/// record into its histogram.
 pub const DEFAULT_ENFORCED: &[&str] =
-    &["rb-fronthaul", "rb-core", "rb-apps", "rb-dataplane", "rb-recover"];
+    &["rb-fronthaul", "rb-core", "rb-apps", "rb-dataplane", "rb-recover", "rb-netsim::stats"];
 
 /// Directory names never scanned for sources.
 const SKIP_DIRS: &[&str] = &["target", "tests", "benches", "examples", ".git"];
@@ -24,8 +27,8 @@ const SKIP_DIRS: &[&str] = &["target", "tests", "benches", "examples", ".git"];
 pub struct Options {
     /// Workspace root to scan.
     pub root: PathBuf,
-    /// Crates whose violations are enforced (others only contribute
-    /// definitions for reachability).
+    /// Crates (`rb-core`) or modules (`rb-netsim::stats`) whose violations
+    /// are enforced; the rest only contribute definitions for reachability.
     pub enforced: Vec<String>,
     /// Promote `alloc` findings from advisory to denied.
     pub deny_alloc: bool,
@@ -37,6 +40,15 @@ pub struct Options {
 }
 
 impl Options {
+    /// True when `key` (a function, static or allowlist key) lies in an
+    /// enforced crate or module.
+    fn enforces(&self, key: &str) -> bool {
+        self.enforced.iter().any(|e| {
+            key.strip_prefix(e.as_str())
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with("::"))
+        })
+    }
+
     /// Default options rooted at `root`.
     pub fn new(root: PathBuf) -> Self {
         Options {
@@ -237,8 +249,8 @@ fn load_allowlist(opts: &Options) -> Allowlist {
 pub fn run(opts: &Options) -> io::Result<Report> {
     let mut units: Vec<Vec<lexer::Token>> = Vec::new();
     let mut fns: Vec<GlobalFn> = Vec::new();
-    // `(crate, file, static)` triples for the ordering-rule shared-state scan.
-    let mut statics: Vec<(String, String, StaticDef)> = Vec::new();
+    // `(file, static)` pairs for the ordering-rule shared-state scan.
+    let mut statics: Vec<(String, StaticDef)> = Vec::new();
 
     for (crate_name, crate_dir) in discover_crates(&opts.root)? {
         for (path, module) in source_files(&crate_dir) {
@@ -248,15 +260,10 @@ pub fn run(opts: &Options) -> io::Result<Report> {
             let unit = units.len();
             let file = path.strip_prefix(&opts.root).unwrap_or(&path).to_string_lossy().to_string();
             for def in items.fns {
-                fns.push(GlobalFn {
-                    unit,
-                    file: file.clone(),
-                    crate_name: crate_name.clone(),
-                    def,
-                });
+                fns.push(GlobalFn { unit, file: file.clone(), def });
             }
             for s in items.statics {
-                statics.push((crate_name.clone(), file.clone(), s));
+                statics.push((file.clone(), s));
             }
             units.push(toks);
         }
@@ -294,7 +301,7 @@ pub fn run(opts: &Options) -> io::Result<Report> {
         if f.def.is_test {
             continue;
         }
-        if !opts.enforced.iter().any(|c| c == &f.crate_name) {
+        if !opts.enforces(&f.def.key) {
             continue;
         }
         let is_hot = parent.contains_key(&idx);
@@ -332,7 +339,7 @@ pub fn run(opts: &Options) -> io::Result<Report> {
             None => continue,
         };
         let f = &fns[rep];
-        if !opts.enforced.iter().any(|c| c == &f.crate_name) {
+        if !opts.enforces(&f.def.key) {
             continue;
         }
         let mut what = String::from("cycle: ");
@@ -360,8 +367,8 @@ pub fn run(opts: &Options) -> io::Result<Report> {
     // Ordering: shared mutable state without atomics, at item scope.
     // Statics are process-wide, so they are checked in every enforced
     // crate regardless of hot-path reachability.
-    for (crate_name, file, s) in &statics {
-        if s.is_test || !opts.enforced.iter().any(|c| c == crate_name) {
+    for (file, s) in &statics {
+        if s.is_test || !opts.enforces(&s.key) {
             continue;
         }
         let what = if s.is_mut {
@@ -384,15 +391,11 @@ pub fn run(opts: &Options) -> io::Result<Report> {
         });
     }
 
-    // An allowlist entry for a crate outside the enforced set cannot match
-    // in this invocation (CI runs the lint with more than one --crates
-    // subset); only entries for enforced crates count as stale.
-    let enforced_key = |function: &str| {
-        let krate = function.split("::").next().unwrap_or(function);
-        opts.enforced.iter().any(|c| c == krate)
-    };
+    // An allowlist entry outside the enforced set cannot match in this
+    // invocation (CI runs the lint with more than one --crates subset);
+    // only entries inside it count as stale.
     for e in allow.unused(&used) {
-        if !enforced_key(&e.function) {
+        if !opts.enforces(&e.function) {
             continue;
         }
         report.unused_allow.push(format!(

@@ -25,8 +25,6 @@ pub struct GlobalFn {
     pub unit: usize,
     /// Repo-relative path of the defining file.
     pub file: String,
-    /// Name of the crate the file belongs to.
-    pub crate_name: String,
     /// The extracted definition.
     pub def: FnDef,
 }
@@ -361,12 +359,7 @@ mod tests {
         let defs = extract_fns(&toks, "t", "");
         let fns = defs
             .into_iter()
-            .map(|def| GlobalFn {
-                unit: 0,
-                file: "t.rs".to_string(),
-                crate_name: "t".to_string(),
-                def,
-            })
+            .map(|def| GlobalFn { unit: 0, file: "t.rs".to_string(), def })
             .collect();
         (vec![toks], fns)
     }

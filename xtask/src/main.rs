@@ -38,9 +38,9 @@ lint options:
   --deny-alloc     promote heap-allocation findings from advisory to error
   --list-hot       print the hot-path-reachable function set and exit
   --root <path>    workspace root (default: auto-detected)
-  --crates <a,b>   comma-separated enforced crates
-                   (default: rb-fronthaul,rb-core,rb-apps,rb-dataplane,
-                   rb-recover)
+  --crates <a,b>   comma-separated enforced crates, or single modules
+                   as crate::module (default: rb-fronthaul,rb-core,
+                   rb-apps,rb-dataplane,rb-recover,rb-netsim::stats)
 ";
 
 fn workspace_root() -> PathBuf {

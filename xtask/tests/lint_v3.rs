@@ -44,6 +44,20 @@ fn arith_rule_flags_every_bare_spelling() {
 }
 
 #[test]
+fn enforced_entries_are_path_prefixes_cut_at_a_separator() {
+    // `crate::path` enforces that path alone — how `rb-netsim::stats` is
+    // held to the rules without the simulator around it.
+    let mut opts = arith_opts();
+    opts.enforced = vec!["rb-arithcrate::bare_add".to_string()];
+    let report = engine::run(&opts).expect("lint run");
+    assert!(!report.findings.is_empty());
+    assert!(report.findings.iter().all(|f| f.key == "rb-arithcrate::bare_add"), "{report:?}");
+    // A prefix that ends inside a name is not a path.
+    opts.enforced = vec!["rb-arith".to_string()];
+    assert!(engine::run(&opts).expect("lint run").findings.is_empty());
+}
+
+#[test]
 fn arith_rule_spares_sanctioned_spellings() {
     let report = engine::run(&arith_opts()).expect("lint run");
     let ariths: Vec<_> = report.findings.iter().filter(|f| f.rule == Rule::Arith).collect();
