@@ -12,7 +12,9 @@
 //!   receive tracker, bond dedup window) classify every `(last, seq)`
 //!   pair the way `ecpri::seq_step` does;
 //! * every reference application charges for every frame it answers:
-//!   a handler call that emits leaves an entry in `ctx.charges`.
+//!   a handler call that emits leaves an entry in `ctx.charges`;
+//! * an RU-share → DAS chain emits the same frames whether `steer` routes
+//!   it in-process or `build_chain` wires it onto a simulated SR-IOV NIC.
 
 use proptest::prelude::*;
 
@@ -26,6 +28,8 @@ use rb_apps::rushare::{Alignment, CarrierSpec, RuShare, RuShareConfig, SharedDu}
 use rb_apps::secmon::{SecMon, SecMonConfig};
 use rb_apps::tap::{Tap, TapConfig};
 use rb_core::cache::SymbolCache;
+use rb_core::chain::{build_chain, steer, ChainSpec};
+use rb_core::host::MiddleboxHost;
 use rb_core::middlebox::{MbContext, Middlebox, Passthrough};
 use rb_core::pipeline::MbPipeline;
 use rb_core::telemetry::TelemetrySender;
@@ -41,6 +45,9 @@ use rb_fronthaul::recovery::RecoveryRepr;
 use rb_fronthaul::timing::{Numerology, SymbolId};
 use rb_fronthaul::uplane::{UPlaneRepr, USection};
 use rb_fronthaul::Direction;
+use rb_netsim::cost::CostModel;
+use rb_netsim::engine::{port, Engine, Node, NodeEvent, Outbox};
+use rb_netsim::nic::{SriovNic, PHYS_PORT};
 use rb_netsim::time::{SimDuration, SimTime};
 use rb_recover::arq::{GapVerdict, RxTracker};
 use rb_recover::dedup::DedupWindow;
@@ -81,6 +88,17 @@ fn ul_msg(src: EthernetAddress, prbs: &[Prb]) -> FhMessage {
         0,
         Body::UPlane(UPlaneRepr::single(Direction::Uplink, SymbolId::ZERO, section)),
     )
+}
+
+/// Collects every frame that leaves a simulated chain on the wire side.
+struct WireSink(Vec<Vec<u8>>);
+
+impl Node for WireSink {
+    fn on_event(&mut self, ev: NodeEvent, _out: &mut Outbox) {
+        if let NodeEvent::Packet { frame, .. } = ev {
+            self.0.push(frame);
+        }
+    }
 }
 
 /// One generated frame: `(sender, kind, downlink, port, seq, symbol,
@@ -144,6 +162,29 @@ fn frame_of((src, kind, dl, port, seq, sym, start, num): FrameSpec) -> FhMessage
     // the DUs' requests and the RU's response meet.
     let port = if matches!(kind, 3 | 4) { 0 } else { port };
     FhMessage::new(mac(PEERS[src]), mac(10), Eaxc::port(port), seq, body)
+}
+
+/// DU A and DU B (106 PRBs each) sharing a 273-PRB RU at `ru_mac`; DU B's
+/// carrier is moved `second_du_shift` Hz off its aligned position.
+fn rushare_cfg(
+    mb_mac: EthernetAddress,
+    ru_mac: EthernetAddress,
+    second_du_shift: i64,
+) -> RuShareConfig {
+    const RU_CENTER: i64 = 3_460_000_000;
+    let shared = |mac, du_id, offset| SharedDu {
+        mac,
+        du_id,
+        carrier: CarrierSpec {
+            center_hz: freq::aligned_du_center_hz(RU_CENTER, 273, 106, offset, 30_000),
+            num_prb: 106,
+            scs_hz: 30_000,
+        },
+    };
+    let mut dus = vec![shared(mac(1), 1, 0), shared(mac(2), 2, 106)];
+    dus[1].carrier.center_hz += second_du_shift;
+    let ru = CarrierSpec { center_hz: RU_CENTER, num_prb: 273, scs_hz: 30_000 };
+    RuShareConfig { mb_mac, ru_mac, ru, dus }
 }
 
 /// Run `msg` through `mb` with a fresh context and return what it emitted;
@@ -213,7 +254,6 @@ proptest! {
 
     #[test]
     fn every_app_charges_for_every_frame_it_answers(frames in arb_frames()) {
-        const RU_CENTER: i64 = 3_460_000_000;
         let (mb_mac, du, du_b, ru, ru_b) = (mac(10), mac(1), mac(2), mac(21), mac(22));
         all_charged(
             Das::new("das", DasConfig { mb_mac, du_mac: du, ru_macs: vec![ru, ru_b] }),
@@ -232,26 +272,9 @@ proptest! {
             ),
             &frames,
         )?;
-        let shared = |mac, du_id, offset| SharedDu {
-            mac,
-            du_id,
-            carrier: CarrierSpec {
-                center_hz: freq::aligned_du_center_hz(RU_CENTER, 273, 106, offset, 30_000),
-                num_prb: 106,
-                scs_hz: 30_000,
-            },
-        };
         for second_du_shift in [0, 6 * 30_000] {
             // Aligned, then DU B half a PRB off the RU grid.
-            let mut dus = vec![shared(du, 1, 0), shared(du_b, 2, 106)];
-            dus[1].carrier.center_hz += second_du_shift;
-            let cfg = RuShareConfig {
-                mb_mac,
-                ru_mac: ru,
-                ru: CarrierSpec { center_hz: RU_CENTER, num_prb: 273, scs_hz: 30_000 },
-                dus,
-            };
-            all_charged(RuShare::new("rushare", cfg), &frames)?;
+            all_charged(RuShare::new("rushare", rushare_cfg(mb_mac, ru, second_du_shift)), &frames)?;
         }
         all_charged(PrbMon::new("prbmon", PrbMonConfig::standard(mb_mac, du, ru, 273)), &frames)?;
         all_charged(
@@ -305,6 +328,77 @@ proptest! {
             near,
             &frames,
         )?;
+    }
+
+    #[test]
+    fn a_chain_does_the_same_in_process_and_on_the_simulated_nic(frames in arb_frames()) {
+        // RU-share → DAS, chained purely by addressing: RU-share believes
+        // the DAS (`b`) is its RU, the DAS believes RU-share (`a`) is its DU.
+        let (a, b) = (mac(10), mac(11));
+        let stages = || {
+            let das = DasConfig { mb_mac: b, du_mac: a, ru_macs: vec![mac(21), mac(22)] };
+            (RuShare::new("rushare", rushare_cfg(a, b, 0)), Das::new("das", das))
+        };
+        // DUs address the RU-share stage, everyone else the DAS.
+        let inputs: Vec<FhMessage> = frames
+            .iter()
+            .map(|&spec| {
+                let mut msg = frame_of(spec);
+                if spec.0 >= 2 {
+                    msg.eth.dst = b;
+                }
+                msg
+            })
+            .collect();
+        let wire = |mut msg: FhMessage| {
+            msg.seq_id = 0; // the hosts restamp
+            msg.to_bytes(&EaxcMapping::DEFAULT).unwrap()
+        };
+
+        // In-process: `steer` between the two stages.
+        let (mut share, mut das) = stages();
+        let (mut direct, mut looped) = (Vec::new(), 0);
+        with_ctx(&mut SymbolCache::new(4096), |ctx| {
+            for msg in inputs.iter().cloned() {
+                let first = usize::from(msg.eth.dst == b);
+                let mut table: [(EthernetAddress, &mut dyn Middlebox); 2] =
+                    [(a, &mut share), (b, &mut das)];
+                looped += steer(ctx, &mut table, first, msg, &mut direct);
+            }
+        });
+        prop_assert_eq!(looped, 0);
+        let mut direct: Vec<Vec<u8>> = direct.into_iter().map(wire).collect();
+
+        // Simulator: one VF each on an SR-IOV NIC, a sink on the wire.
+        let mut engine = Engine::new();
+        let (share, das) = stages();
+        let hosts: Vec<(Box<dyn Node>, EthernetAddress)> = vec![
+            (Box::new(MiddleboxHost::new(share, a, CostModel::dpdk(), 1)), a),
+            (Box::new(MiddleboxHost::new(das, b, CostModel::dpdk(), 1)), b),
+        ];
+        let chain = build_chain(&mut engine, "prop", ChainSpec::default(), hosts);
+        let sink = engine.add_node(Box::new(WireSink(Vec::new())));
+        engine.connect(chain.phys, port(sink, 0), SimDuration::ZERO, 100.0);
+        for peer in PEERS {
+            engine.node_as_mut::<SriovNic>(chain.nic).learn_static(mac(peer), PHYS_PORT);
+        }
+        for (k, msg) in inputs.iter().enumerate() {
+            // A millisecond apart: each frame's hops finish before the next.
+            let at = SimTime(k as u64 * 1_000_000);
+            engine.inject(at, chain.phys, msg.to_bytes(&EaxcMapping::DEFAULT).unwrap());
+        }
+        engine.run_until(SimTime(inputs.len() as u64 * 1_000_000));
+        prop_assert_eq!(engine.node_as::<SriovNic>(chain.nic).floods, 0);
+        let mut via_nic: Vec<Vec<u8>> = engine
+            .node_as::<WireSink>(sink)
+            .0
+            .iter()
+            .map(|bytes| wire(FhMessage::parse(bytes, &EaxcMapping::DEFAULT).unwrap()))
+            .collect();
+
+        direct.sort();
+        via_nic.sort();
+        prop_assert_eq!(direct, via_nic);
     }
 
     #[test]

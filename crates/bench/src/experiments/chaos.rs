@@ -23,11 +23,13 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use ranbooster::scengen::symbol_for_round;
 use rb_apps::arq::{ArqReceiver, ArqSender};
 use rb_apps::das::{Das, DasConfig};
 use rb_apps::fec::{FecDecoderMb, FecEncoderMb};
 use rb_apps::resilience::{Resilience, ResilienceConfig, WATCHDOG_TICK};
 use rb_core::cache::SymbolCache;
+use rb_core::chain;
 use rb_core::middlebox::{MbContext, Middlebox};
 use rb_core::pipeline::MbPipeline;
 use rb_core::telemetry::{channel, TelemetryEvent, TelemetrySender};
@@ -81,15 +83,33 @@ fn das() -> Das {
     .with_merge_window(MERGE_WINDOW)
 }
 
-/// Monotonically advancing symbol id: `round` counts symbols from the
-/// start of the capture.
-fn symbol_at(round: u32) -> SymbolId {
-    SymbolId {
-        frame: (round / 280 % 256) as u8,
-        subframe: (round / 28 % 10) as u8,
-        slot: (round / 14 % 2) as u8,
-        symbol: (round % 14) as u8,
+/// A PRB of the test pattern `(i, k + q0)`.
+fn test_prb(i: i16, q0: i16) -> Prb {
+    let mut prb = Prb::ZERO;
+    for (k, s) in prb.0.iter_mut().enumerate() {
+        *s = IqSample::new(i, k as i16 + q0);
     }
+    prb
+}
+
+/// A DL C-plane frame to the middlebox at `mac(10)`.
+fn cplane(src: EthernetAddress, port: u8, seq: u8, sym: SymbolId, num_prb: u16) -> FhMessage {
+    let section = SectionFields::data(0, 0, num_prb, 1);
+    let body = CPlaneRepr::single(Direction::Downlink, sym, CompressionMethod::BFP9, section);
+    FhMessage::new(src, mac(10), Eaxc::port(port), seq, Body::CPlane(body))
+}
+
+/// A one-section BFP9 UL U-plane frame carrying `prbs` at symbol `round` (counted from the start of the run).
+fn uplane(
+    (src, dst): (EthernetAddress, EthernetAddress),
+    port: u8,
+    seq: u8,
+    round: u32,
+    prbs: &[Prb],
+) -> FhMessage {
+    let section = USection::from_prbs(0, 0, prbs, CompressionMethod::BFP9).expect("section fits");
+    let body = UPlaneRepr::single(Direction::Uplink, symbol_for_round(round), section);
+    FhMessage::new(src, dst, Eaxc::port(port), seq, Body::UPlane(body))
 }
 
 /// The replay capture: per symbol and eAxC port, one DL C-plane frame
@@ -107,46 +127,19 @@ fn capture(rounds: u32) -> (Vec<u8>, u64) {
         *s = s.wrapping_add(1);
         v
     };
-    let mut at = 1_000u64;
     let mut frames_in = 0u64;
-    let mut prb = Prb::ZERO;
-    for (k, s) in prb.0.iter_mut().enumerate() {
-        *s = IqSample::new(70, k as i16 - 6);
-    }
+    // One frame per microsecond, the first at 1 µs.
+    let mut put = |msg: FhMessage| {
+        frames_in += 1;
+        w.write_frame(frames_in * 1_000, &msg.to_bytes(&mapping).expect("serialize"))
+            .expect("write to memory");
+    };
+    let prbs = [test_prb(70, -6); 4];
     for round in 0..rounds {
-        let sym = symbol_at(round);
         for p in 0..PORTS {
-            let eaxc = Eaxc::port(p);
-            let cp = FhMessage::new(
-                mac(1),
-                mac(10),
-                eaxc,
-                stamp(mac(1), p),
-                Body::CPlane(CPlaneRepr::single(
-                    Direction::Downlink,
-                    sym,
-                    CompressionMethod::BFP9,
-                    SectionFields::data(0, 0, 50, 1),
-                )),
-            );
-            w.write_frame(at, &cp.to_bytes(&mapping).expect("serialize C-plane"))
-                .expect("write to memory");
-            at += 1_000;
-            frames_in += 1;
+            put(cplane(mac(1), p, stamp(mac(1), p), symbol_for_round(round), 50));
             for ru in [mac(21), mac(22)] {
-                let section = USection::from_prbs(0, 0, &[prb; 4], CompressionMethod::BFP9)
-                    .expect("section fits");
-                let ul = FhMessage::new(
-                    ru,
-                    mac(10),
-                    eaxc,
-                    stamp(ru, p),
-                    Body::UPlane(UPlaneRepr::single(Direction::Uplink, sym, section)),
-                );
-                w.write_frame(at, &ul.to_bytes(&mapping).expect("serialize U-plane"))
-                    .expect("write to memory");
-                at += 1_000;
-                frames_in += 1;
+                put(uplane((ru, mac(10)), p, stamp(ru, p), round, &prbs));
             }
         }
     }
@@ -209,11 +202,14 @@ fn measure(cap: &[u8], frames_in: u64, drop: f64, reorder: f64) -> Point {
 }
 
 /// Which recovery middleboxes guard the lossy hop.
-#[derive(Clone, Copy)]
-struct Scheme {
-    name: &'static str,
-    arq: bool,
-    fec: bool,
+#[derive(Debug, Clone, Copy)]
+pub struct Scheme {
+    /// Row label in the report.
+    pub name: &'static str,
+    /// An ARQ sender/receiver pair brackets the hop.
+    pub arq: bool,
+    /// An FEC encoder/decoder pair brackets the hop.
+    pub fec: bool,
 }
 
 const SCHEMES: &[Scheme] = &[
@@ -230,6 +226,171 @@ const RECOVERY_SWEEP: &[(f64, f64)] = &[(0.01, 0.0), (0.05, 0.0), (0.05, 0.05)];
 const FEC_WINDOW: u8 = 8;
 const FEC_DEPTH: u8 = 2;
 
+/// Stage addresses of the recovery chain, left to right, and the sink
+/// behind it.
+const ARQ_TX: u8 = 30;
+const FEC_ENC: u8 = 31;
+const LINK: u8 = 35;
+const FEC_DEC: u8 = 32;
+const ARQ_RX: u8 = 33;
+const SINK: u8 = 40;
+/// Surviving crossings a reordered frame is held back for.
+const REORDER_HOLD: usize = 4;
+
+/// The impaired hop as a chain stage: a seeded wire towards `next` that
+/// drops what crosses it, or holds it back for reordering.
+struct LossyLink {
+    next: EthernetAddress,
+    rng: SplitMix64,
+    drop: f64,
+    reorder: f64,
+    // (surviving crossings still to pass, frame)
+    holdback: Vec<(usize, FhMessage)>,
+    dropped_first_tx: Vec<(u8, u8)>,
+    wire_losses: u64,
+}
+
+impl LossyLink {
+    fn cross(&mut self, mut msg: FhMessage, out: &mut Vec<FhMessage>) {
+        msg.eth.dst = self.next;
+        if self.rng.chance(self.drop) {
+            self.wire_losses += 1;
+            let key = (msg.eaxc.ru_port, msg.seq_id);
+            if !matches!(msg.body, Body::Recovery(_)) && !self.dropped_first_tx.contains(&key) {
+                self.dropped_first_tx.push(key);
+            }
+        } else if self.rng.chance(self.reorder) {
+            self.holdback.push((REORDER_HOLD, msg));
+        } else {
+            out.push(msg);
+            // A surviving crossing ages the held-back frames; all were held
+            // for the same span, so the ones now due are the oldest.
+            self.holdback.iter_mut().for_each(|(left, _)| *left -= 1);
+            let due = self.holdback.iter().take_while(|(left, _)| *left == 0).count();
+            out.extend(self.holdback.drain(..due).map(|(_, late)| late));
+        }
+    }
+}
+
+impl Middlebox for LossyLink {
+    fn name(&self) -> &str {
+        "lossy-link"
+    }
+
+    fn on_cplane(&mut self, _: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.cross(msg, out);
+    }
+
+    fn on_uplane(&mut self, _: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.cross(msg, out);
+    }
+
+    fn on_recovery(&mut self, _: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.cross(msg, out);
+    }
+}
+
+/// The recovery deployment, in-process (drawn in
+/// `tests/recovery_chain.rs`): ARQ sender, FEC encoder, the lossy link, FEC
+/// decoder, ARQ receiver, routed by [`chain::steer`]. All five stages always
+/// exist; a chain is purely addressing, so the [`Scheme`] only decides which
+/// of them the next-hop MACs visit.
+pub struct RecoveryChain {
+    arq_tx: ArqSender,
+    fec_enc: FecEncoderMb,
+    link: LossyLink,
+    fec_dec: FecDecoderMb,
+    arq_rx: ArqReceiver,
+    entry: EthernetAddress,
+    cache: SymbolCache,
+    telemetry: TelemetrySender,
+    out: Vec<FhMessage>,
+    /// Sink deliveries in arrival order: `(eAxC port, seq)`.
+    pub delivered: Vec<(u8, u8)>,
+}
+
+impl RecoveryChain {
+    /// Wire `scheme`'s stages around a hop that drops with probability
+    /// `drop` and reorders with probability `reorder`, both drawn from
+    /// `seed`.
+    pub fn new(scheme: Scheme, seed: u64, drop: f64, reorder: f64, fec: FecConfig) -> Self {
+        let after_dec = if scheme.arq { ARQ_RX } else { SINK };
+        let after_link = if scheme.fec { FEC_DEC } else { after_dec };
+        let after_tx = if scheme.fec { FEC_ENC } else { LINK };
+        let entry = if scheme.arq { ARQ_TX } else { after_tx };
+        RecoveryChain {
+            arq_tx: ArqSender::new("arq-tx", mac(ARQ_TX), mac(after_tx), 128),
+            fec_enc: FecEncoderMb::new("fec-enc", mac(FEC_ENC), mac(LINK), fec),
+            link: LossyLink {
+                next: mac(after_link),
+                rng: SplitMix64::new(seed),
+                drop,
+                reorder,
+                holdback: Vec::new(),
+                dropped_first_tx: Vec::new(),
+                wire_losses: 0,
+            },
+            fec_dec: FecDecoderMb::new("fec-dec", mac(FEC_DEC), mac(after_dec), 128),
+            arq_rx: ArqReceiver::new("arq-rx", mac(ARQ_RX), mac(SINK), mac(ARQ_TX)),
+            entry: mac(entry),
+            cache: SymbolCache::new(64),
+            telemetry: TelemetrySender::disconnected("recovery-chain"),
+            out: Vec::new(),
+            delivered: Vec::new(),
+        }
+    }
+
+    /// Where the DU addresses its frames: the chain's first stage.
+    pub fn entry(&self) -> EthernetAddress {
+        self.entry
+    }
+
+    /// `(port, seq)` of every data frame whose first crossing the link ate.
+    pub fn dropped_first_tx(&self) -> &[(u8, u8)] {
+        &self.link.dropped_first_tx
+    }
+
+    /// Frames the link ate in total (data, parity, retransmits).
+    pub fn wire_losses(&self) -> u64 {
+        self.link.wire_losses
+    }
+
+    /// Drive one DU frame through the chain until it is quiet.
+    pub fn inject(&mut self, msg: FhMessage) {
+        self.run(self.entry, msg);
+    }
+
+    /// The link goes quiet and lossless: held-back stragglers arrive.
+    pub fn flush(&mut self) {
+        (self.link.drop, self.link.reorder) = (0.0, 0.0);
+        for (_, late) in std::mem::take(&mut self.link.holdback) {
+            self.run(mac(LINK), late);
+        }
+    }
+
+    fn run(&mut self, first: EthernetAddress, msg: FhMessage) {
+        let mut ctx = MbContext {
+            now: SimTime(1_000),
+            cache: &mut self.cache,
+            telemetry: &self.telemetry,
+            mapping: EaxcMapping::DEFAULT,
+            charges: Vec::new(),
+        };
+        let mut stages: [(EthernetAddress, &mut dyn Middlebox); 5] = [
+            (mac(ARQ_TX), &mut self.arq_tx),
+            (mac(FEC_ENC), &mut self.fec_enc),
+            (mac(LINK), &mut self.link),
+            (mac(FEC_DEC), &mut self.fec_dec),
+            (mac(ARQ_RX), &mut self.arq_rx),
+        ];
+        let first = stages.iter().position(|(at, _)| *at == first).expect("first is a stage");
+        let looped = chain::steer(&mut ctx, &mut stages, first, msg, &mut self.out);
+        assert_eq!(looped, 0, "a recovery exchange stays far below the hop cap");
+        // Whatever left the chain went to the sink: no stage addresses anything else.
+        self.delivered.extend(self.out.drain(..).map(|m| (m.eaxc.ru_port, m.seq_id)));
+    }
+}
+
 /// One (scheme, loss, reorder) outcome of the recovery sweep.
 struct RecoveryPoint {
     scheme: &'static str,
@@ -238,18 +399,15 @@ struct RecoveryPoint {
     frames_in: u64,
     first_tx_losses: u64,
     recovered: u64,
-    residual_gaps: u64,
     nacks: u64,
     retransmits: u64,
     fec_repairs: u64,
     delivered: u64,
 }
 
-/// Drive a seq-stamped U-plane workload through the configured recovery
-/// chain with a seeded lossy-and-reordering hop in the middle, routing
-/// middlebox output by destination MAC until quiescence — the same
-/// deployment shape as the `recovery_chain` integration suite, swept
-/// across schemes and impairment points.
+/// Drive a seq-stamped U-plane workload through `scheme`'s
+/// [`RecoveryChain`] — the deployment `crates/bench/tests/recovery_chain.rs`
+/// gates — at one impairment point.
 fn measure_recovery(
     scheme: Scheme,
     drop: f64,
@@ -257,159 +415,41 @@ fn measure_recovery(
     frames: u32,
     ports: u8,
 ) -> RecoveryPoint {
-    const DU: u8 = 1;
-    const ARQ_TX: u8 = 30;
-    const FEC_ENC: u8 = 31;
-    const FEC_DEC: u8 = 32;
-    const ARQ_RX: u8 = 33;
-    const SINK: u8 = 40;
-    const REORDER_HOLD: usize = 4;
     // Loss accounting keys on (port, seq): the 8-bit sequence space must
     // not wrap within a run, so scale load by adding ports, not frames.
     assert!(frames <= 256, "seq wrap would alias loss accounting");
-
-    // Wire the requested stages left-to-right; the lossy hop is the one
-    // entering the first right-side stage.
-    let (entry, lossy_dst) = match (scheme.arq, scheme.fec) {
-        (false, false) => (SINK, SINK),
-        (true, false) => (ARQ_TX, ARQ_RX),
-        (false, true) => (FEC_ENC, FEC_DEC),
-        (true, true) => (ARQ_TX, FEC_DEC),
-    };
-    let fec_cfg = FecConfig::new(FEC_WINDOW, FEC_DEPTH).expect("valid geometry");
-    let mut arq_tx = scheme.arq.then(|| {
-        let dst = if scheme.fec { FEC_ENC } else { ARQ_RX };
-        ArqSender::new("bench-arq-tx", mac(ARQ_TX), mac(dst), 128)
-    });
-    let mut fec_enc =
-        scheme.fec.then(|| FecEncoderMb::new("bench-fec-enc", mac(FEC_ENC), mac(FEC_DEC), fec_cfg));
-    let mut fec_dec = scheme.fec.then(|| {
-        let dst = if scheme.arq { ARQ_RX } else { SINK };
-        FecDecoderMb::new("bench-fec-dec", mac(FEC_DEC), mac(dst), 128)
-    });
-    let mut arq_rx =
-        scheme.arq.then(|| ArqReceiver::new("bench-arq-rx", mac(ARQ_RX), mac(SINK), mac(ARQ_TX)));
-
-    let mut rng = SplitMix64::new(SEED);
-    let mut cache = SymbolCache::new(64);
-    let tele = TelemetrySender::disconnected("bench-recovery");
-    let mapping = EaxcMapping::DEFAULT;
-    let mut prb = Prb::ZERO;
-    for (k, s) in prb.0.iter_mut().enumerate() {
-        *s = IqSample::new(55, k as i16 - 3);
-    }
-
-    let mut delivered: Vec<(u8, u8)> = Vec::new();
-    let mut dropped_first_tx: Vec<(u8, u8)> = Vec::new();
-    // Held-back (reordered) crossings: (crossings still to pass, msg).
-    let mut holdback: Vec<(usize, FhMessage)> = Vec::new();
-    let mut frames_in = 0u64;
-
-    let mut route = |m: FhMessage,
-                     queue: &mut Vec<FhMessage>,
-                     delivered: &mut Vec<(u8, u8)>,
-                     cache: &mut SymbolCache| {
-        if m.eth.dst == mac(SINK) {
-            delivered.push((m.eaxc.ru_port, m.seq_id));
-            return;
-        }
-        let mut ctx = MbContext {
-            now: SimTime(1_000),
-            cache,
-            telemetry: &tele,
-            mapping,
-            charges: Vec::new(),
-        };
-        if m.eth.dst == mac(ARQ_TX) {
-            arq_tx.as_mut().expect("routed to absent stage").handle_into(&mut ctx, m, queue);
-        } else if m.eth.dst == mac(FEC_ENC) {
-            fec_enc.as_mut().expect("routed to absent stage").handle_into(&mut ctx, m, queue);
-        } else if m.eth.dst == mac(FEC_DEC) {
-            fec_dec.as_mut().expect("routed to absent stage").handle_into(&mut ctx, m, queue);
-        } else {
-            arq_rx.as_mut().expect("routed to absent stage").handle_into(&mut ctx, m, queue);
-        }
-    };
-
-    let mut inject = |msg: FhMessage,
-                      delivered: &mut Vec<(u8, u8)>,
-                      dropped: &mut Vec<(u8, u8)>,
-                      holdback: &mut Vec<(usize, FhMessage)>,
-                      cache: &mut SymbolCache,
-                      rng: &mut SplitMix64| {
-        let mut queue = vec![msg];
-        while let Some(m) = queue.pop() {
-            if m.eth.dst != mac(lossy_dst) {
-                route(m, &mut queue, delivered, cache);
-                continue;
-            }
-            // The impaired hop: drop, or hold back for reordering.
-            if rng.chance(drop) {
-                let key = (m.eaxc.ru_port, m.seq_id);
-                if !matches!(m.body, Body::Recovery(_)) && !dropped.contains(&key) {
-                    dropped.push(key);
-                }
-                continue;
-            }
-            if rng.chance(reorder) {
-                holdback.push((REORDER_HOLD, m));
-                continue;
-            }
-            route(m, &mut queue, delivered, cache);
-            // A surviving crossing releases aged held-back frames.
-            let mut k = 0;
-            while k < holdback.len() {
-                if holdback[k].0 <= 1 {
-                    let (_, late) = holdback.swap_remove(k);
-                    route(late, &mut queue, delivered, cache);
-                } else {
-                    holdback[k].0 -= 1;
-                    k += 1;
-                }
-            }
-        }
-    };
-
+    let fec = FecConfig::new(FEC_WINDOW, FEC_DEPTH).expect("valid geometry");
+    let mut chain = RecoveryChain::new(scheme, SEED, drop, reorder, fec);
+    let prb = test_prb(55, -3);
     for n in 0..frames {
-        let sym = symbol_at(n);
         for p in 0..ports {
-            let section =
-                USection::from_prbs(0, 0, &[prb], CompressionMethod::BFP9).expect("section fits");
-            let msg = FhMessage::new(
-                mac(DU),
-                mac(entry),
-                Eaxc::port(p),
-                n as u8,
-                Body::UPlane(UPlaneRepr::single(Direction::Uplink, sym, section)),
-            );
-            frames_in += 1;
-            inject(msg, &mut delivered, &mut dropped_first_tx, &mut holdback, &mut cache, &mut rng);
+            chain.inject(uplane((mac(1), chain.entry()), p, n as u8, n, &[prb]));
         }
     }
-    std::mem::drop(inject); // `drop` the fn is shadowed by `drop` the rate
-                            // Drain the reorder buffer: the link goes quiet, stragglers arrive.
-    for (_, late) in std::mem::take(&mut holdback) {
-        let mut queue = vec![late];
-        while let Some(m) = queue.pop() {
-            route(m, &mut queue, &mut delivered, &mut cache);
-        }
-    }
+    chain.flush();
 
-    let recovered = dropped_first_tx.iter().filter(|key| delivered.contains(key)).count() as u64;
-    let first_tx_losses = dropped_first_tx.len() as u64;
+    let lost = chain.dropped_first_tx();
+    let recovered = lost.iter().filter(|key| chain.delivered.contains(key)).count() as u64;
+    let first_tx_losses = lost.len() as u64;
     RecoveryPoint {
         scheme: scheme.name,
         drop,
         reorder,
-        frames_in,
+        frames_in: u64::from(frames) * u64::from(ports),
         first_tx_losses,
         recovered,
-        residual_gaps: first_tx_losses - recovered,
-        nacks: arq_rx.as_ref().map_or(0, |rx| rx.stats.nacks_sent),
-        retransmits: arq_tx.as_ref().map_or(0, |tx| tx.stats.retransmits),
-        fec_repairs: fec_dec.as_ref().map_or(0, |dec| dec.stats.recovered),
-        delivered: delivered.len() as u64,
+        nacks: chain.arq_rx.stats.nacks_sent,
+        retransmits: chain.arq_tx.stats.retransmits,
+        fec_repairs: chain.fec_dec.stats.recovered,
+        delivered: chain.delivered.len() as u64,
     }
+}
+
+/// Everything `io` delivers until end of capture, in arrival order.
+fn drain(io: &mut impl FrameIo) -> Vec<RawFrame> {
+    let mut frames = Vec::new();
+    while !matches!(io.rx_batch(&mut frames, 64), RxPoll::Eof) {}
+    frames
 }
 
 /// Bonded dual-link outcome under a scripted permanent member outage.
@@ -430,35 +470,17 @@ fn measure_bonded(frames: u32) -> Bonded {
     cfg.outage =
         Some(Outage { start_ns: u64::from(frames / 2) * 1_000, end_ns: u64::MAX, src: None });
     let mut bond = BondedIo::new(ChaosIo::new(a_near, cfg), b_near, BondMode::DuplicateDedup);
-    let mapping = EaxcMapping::DEFAULT;
-    let mut prb = Prb::ZERO;
-    for (k, s) in prb.0.iter_mut().enumerate() {
-        *s = IqSample::new(31, k as i16);
-    }
+    let prb = test_prb(31, 0);
     for n in 0..frames {
-        let section =
-            USection::from_prbs(0, 0, &[prb], CompressionMethod::BFP9).expect("section fits");
-        let msg = FhMessage::new(
-            mac(21),
-            mac(10),
-            Eaxc::port(0),
-            n as u8,
-            Body::UPlane(UPlaneRepr::single(Direction::Uplink, symbol_at(n), section)),
-        );
-        let bytes = msg.to_bytes(&mapping).expect("serialize");
+        let msg = uplane((mac(21), mac(10)), 0, n as u8, n, &[prb]);
+        let bytes = msg.to_bytes(&EaxcMapping::DEFAULT).expect("serialize");
         let f = RawFrame { at_ns: u64::from(n) * 1_000, bytes: bytes.into() };
         a_far.tx(f.clone());
         b_far.tx(f);
     }
     drop(a_far);
     drop(b_far);
-    let mut got = Vec::new();
-    loop {
-        match bond.rx_batch(&mut got, 64) {
-            RxPoll::Ready(_) => {}
-            RxPoll::Idle | RxPoll::Eof => break,
-        }
-    }
+    let got = drain(&mut bond);
     let s = bond.stats();
     Bonded {
         frames_in: u64::from(frames),
@@ -479,29 +501,15 @@ struct Failover {
 
 /// Script a permanent primary-DU outage through `ChaosIo` and measure how
 /// long the watchdog needs to put the standby in charge. The runtime does
-/// not drive middlebox timers, so the pipeline is run by hand with a
-/// 1 ms watchdog tick — what a hosting node's timer wheel would provide.
+/// not drive middlebox timers, so the frames go through
+/// [`MbPipeline::replay`] with a 1 ms watchdog tick — what a hosting node's
+/// timer wheel would provide.
 fn measure_failover() -> Failover {
     const MS: u64 = 1_000_000;
     const OUTAGE_START: u64 = 20 * MS;
     const TIMEOUT: u64 = 3 * MS;
     let mapping = EaxcMapping::DEFAULT;
-    let frame = |src: EthernetAddress| {
-        FhMessage::new(
-            src,
-            mac(10),
-            Eaxc::port(0),
-            0,
-            Body::CPlane(CPlaneRepr::single(
-                Direction::Downlink,
-                SymbolId::ZERO,
-                CompressionMethod::BFP9,
-                SectionFields::data(0, 0, 10, 1),
-            )),
-        )
-        .to_bytes(&mapping)
-        .expect("serialize")
-    };
+    let frame = |src| cplane(src, 0, 0, SymbolId::ZERO, 10).to_bytes(&mapping).expect("serialize");
     let mut w = PcapWriter::new(Vec::new()).expect("in-memory pcap header");
     for ms in 1..=60u64 {
         w.write_frame(ms * MS, &frame(mac(1))).expect("write");
@@ -527,30 +535,15 @@ fn measure_failover() -> Failover {
         mac(10),
     );
     let mut ul_after_failover = 0u64;
-    let mut frames = Vec::new();
-    let mut next_tick = MS;
-    loop {
-        frames.clear();
-        match io.rx_batch(&mut frames, 32) {
-            RxPoll::Ready(_) => {
-                for f in frames.drain(..) {
-                    while next_tick <= f.at_ns {
-                        pipeline.tick(SimTime(next_tick), WATCHDOG_TICK, &mut |_b: &[u8]| {});
-                        next_tick += MS;
-                    }
-                    pipeline.process(SimTime(f.at_ns), &f.bytes, &mut |b: &[u8]| {
-                        if let Ok(m) = FhMessage::parse(b, &mapping) {
-                            if m.eth.dst == mac(2) {
-                                ul_after_failover += 1;
-                            }
-                        }
-                    });
-                }
+    pipeline.replay(
+        drain(&mut io).iter().map(|f| (f.at_ns, &f.bytes[..])),
+        Some((MS, WATCHDOG_TICK)),
+        &mut |_, b: &[u8]| {
+            if FhMessage::parse(b, &mapping).is_ok_and(|m| m.eth.dst == mac(2)) {
+                ul_after_failover += 1;
             }
-            RxPoll::Idle => continue,
-            RxPoll::Eof => break,
-        }
-    }
+        },
+    );
     let failover_at_ns =
         pipeline.middlebox().last_failover().expect("permanent outage must trigger failover").0;
     Failover {
@@ -626,7 +619,7 @@ fn write_json(
             p.frames_in,
             p.first_tx_losses,
             p.recovered,
-            p.residual_gaps,
+            p.first_tx_losses - p.recovered,
             p.nacks,
             p.retransmits,
             p.fec_repairs,
@@ -711,7 +704,7 @@ pub fn run(quick: bool) -> Report {
             p.scheme,
             p.recovered,
             p.first_tx_losses,
-            p.residual_gaps,
+            p.first_tx_losses - p.recovered,
             p.nacks,
             p.retransmits,
             p.fec_repairs,

@@ -2,7 +2,8 @@
 //! deterministically lossy segment, and the bonded dual-link adapter
 //! under a permanent single-link outage.
 //!
-//! The chain mirrors the recovery deployment of the chaos benchmark:
+//! The chain *is* the recovery deployment of the chaos benchmark
+//! ([`RecoveryChain`], routed by `rb_core::chain::steer`):
 //!
 //! ```text
 //! DU ─► ArqSender ─► FecEncoderMb ══(lossy, seeded)══► FecDecoderMb ─► ArqReceiver ─► sink
@@ -10,13 +11,12 @@
 //!           └───────────────────── NACKs (lossless) ──────────────────────┘
 //! ```
 //!
-//! Losses are drawn from a seeded [`SplitMix64`], so every run of these
+//! Losses are drawn from a seeded `SplitMix64`, so every run of these
 //! tests sees the exact same erasure schedule — the acceptance numbers
 //! are deterministic replays, not flaky thresholds.
 
 use std::collections::HashMap;
 
-use ranbooster::apps::arq::{ArqReceiver, ArqSender};
 use ranbooster::apps::fec::{FecDecoderMb, FecEncoderMb};
 use ranbooster::core::cache::SymbolCache;
 use ranbooster::core::middlebox::{MbContext, Middlebox};
@@ -29,9 +29,9 @@ use ranbooster::fronthaul::msg::{Body, FhMessage};
 use ranbooster::fronthaul::timing::SymbolId;
 use ranbooster::fronthaul::uplane::{UPlaneRepr, USection};
 use ranbooster::fronthaul::Direction;
-use ranbooster::netsim::rng::SplitMix64;
 use ranbooster::netsim::time::SimTime;
 use ranbooster::recover::fec::FecConfig;
+use rb_bench::experiments::chaos::{RecoveryChain, Scheme};
 
 fn mac(last: u8) -> EthernetAddress {
     EthernetAddress::new(2, 0, 0, 0, 0, last)
@@ -42,7 +42,6 @@ const ARQ_TX: u8 = 30;
 const FEC_ENC: u8 = 31;
 const FEC_DEC: u8 = 32;
 const ARQ_RX: u8 = 33;
-const SINK: u8 = 40;
 
 /// A recovered frame must land within this many same-port sink
 /// deliveries of its in-order position — the "deadline budget" of the
@@ -65,90 +64,15 @@ fn umsg(port: u8, seq: u8, fill: i16) -> FhMessage {
     )
 }
 
-struct Chain {
-    tx: ArqSender,
-    enc: FecEncoderMb,
-    dec: FecDecoderMb,
-    rx: ArqReceiver,
-    rng: SplitMix64,
-    loss: f64,
-    cache: SymbolCache,
-    tele: TelemetrySender,
-    /// (port, seq) pairs whose first transmission the lossy link ate.
-    dropped_first_tx: Vec<(u8, u8)>,
-    /// Frames the lossy link ate in total (data, parity, retransmits).
-    wire_losses: u64,
-    /// Sink deliveries in arrival order: (port, seq).
-    delivered: Vec<(u8, u8)>,
-}
-
-impl Chain {
-    fn new(seed: u64, loss: f64, fec: FecConfig) -> Chain {
-        Chain {
-            tx: ArqSender::new("arq-tx", mac(ARQ_TX), mac(FEC_ENC), 128),
-            enc: FecEncoderMb::new("fec-enc", mac(FEC_ENC), mac(FEC_DEC), fec),
-            dec: FecDecoderMb::new("fec-dec", mac(FEC_DEC), mac(ARQ_RX), 128),
-            rx: ArqReceiver::new("arq-rx", mac(ARQ_RX), mac(SINK), mac(ARQ_TX)),
-            rng: SplitMix64::new(seed),
-            loss,
-            cache: SymbolCache::new(64),
-            tele: TelemetrySender::disconnected("chain"),
-            dropped_first_tx: Vec::new(),
-            wire_losses: 0,
-            delivered: Vec::new(),
-        }
-    }
-
-    /// Drive one frame from the DU through the whole chain, routing
-    /// every produced message by destination MAC until quiescence. Only
-    /// the encoder → decoder hop is lossy; the NACK return path and the
-    /// edge hops are clean, as in the paper's recovery deployment.
-    fn inject(&mut self, msg: FhMessage) {
-        let mut queue = vec![msg];
-        while let Some(m) = queue.pop() {
-            let dst = m.eth.dst;
-            let port = m.eaxc.ru_port;
-            let seq = m.seq_id;
-            let crossing_lossy_hop = dst == mac(FEC_DEC);
-            if crossing_lossy_hop && self.rng.chance(self.loss) {
-                self.wire_losses += 1;
-                let is_data = !matches!(m.body, Body::Recovery(_));
-                if is_data && !self.dropped_first_tx.contains(&(port, seq)) {
-                    self.dropped_first_tx.push((port, seq));
-                }
-                continue;
-            }
-            if dst == mac(SINK) {
-                self.delivered.push((port, seq));
-                continue;
-            }
-            let mut ctx = MbContext {
-                now: SimTime(1_000),
-                cache: &mut self.cache,
-                telemetry: &self.tele,
-                mapping: EaxcMapping::DEFAULT,
-                charges: Vec::new(),
-            };
-            let produced = if dst == mac(ARQ_TX) {
-                self.tx.handle(&mut ctx, m)
-            } else if dst == mac(FEC_ENC) {
-                self.enc.handle(&mut ctx, m)
-            } else if dst == mac(FEC_DEC) {
-                self.dec.handle(&mut ctx, m)
-            } else if dst == mac(ARQ_RX) {
-                self.rx.handle(&mut ctx, m)
-            } else {
-                panic!("message routed to unknown MAC {dst:?}");
-            };
-            queue.extend(produced);
-        }
-    }
+/// The full ARQ + FEC deployment over a hop that only loses.
+fn arq_fec_chain(seed: u64, loss: f64, fec: FecConfig) -> RecoveryChain {
+    RecoveryChain::new(Scheme { name: "arq+fec", arq: true, fec: true }, seed, loss, 0.0, fec)
 }
 
 #[test]
 fn arq_fec_chain_recovers_90_percent_of_5_percent_loss() {
     let fec = FecConfig::new(8, 2).expect("8:2 is a valid geometry");
-    let mut chain = Chain::new(0xC0FFEE, 0.05, fec);
+    let mut chain = arq_fec_chain(0xC0FFEE, 0.05, fec);
     const PORTS: u8 = 3;
     const FRAMES: u16 = 400; // crosses the 8-bit wrap once per port
     let mut emitted: HashMap<(u8, u8), u32> = HashMap::new();
@@ -170,9 +94,9 @@ fn arq_fec_chain_recovers_90_percent_of_5_percent_loss() {
         .iter()
         .map(|(k, e)| u64::from(e.saturating_sub(copies.get(k).copied().unwrap_or(0))))
         .sum();
-    let dropped = chain.dropped_first_tx.len() as u64;
+    let dropped = chain.dropped_first_tx().len() as u64;
     let recovered = dropped.saturating_sub(residual);
-    assert!(chain.wire_losses > 0, "5% loss must actually fire");
+    assert!(chain.wire_losses() > 0, "5% loss must actually fire");
     assert!(dropped >= 30, "expect ~60 first-transmission losses, got {dropped}");
     let ratio = recovered as f64 / dropped as f64;
     assert!(
@@ -217,11 +141,11 @@ fn arq_fec_chain_recovers_90_percent_of_5_percent_loss() {
 fn chain_is_bit_deterministic_from_seed() {
     let fec = FecConfig::new(8, 2).expect("valid geometry");
     let run = |seed: u64| {
-        let mut chain = Chain::new(seed, 0.05, fec);
+        let mut chain = arq_fec_chain(seed, 0.05, fec);
         for n in 0..300u16 {
             chain.inject(umsg(0, n as u8, n as i16));
         }
-        (chain.delivered.clone(), chain.wire_losses, chain.dropped_first_tx.clone())
+        (chain.delivered.clone(), chain.wire_losses(), chain.dropped_first_tx().to_vec())
     };
     let a = run(7);
     let b = run(7);

@@ -6,11 +6,19 @@
 //! purely through addressing — the DU targets mb1's MAC, mb1 emits towards
 //! mb2's MAC, mb2 towards the RU — so chains can be re-formed on-the-fly
 //! by management-rule updates, with no topology changes.
+//!
+//! The same addressing is served on both layers: [`build_chain`] wires it
+//! onto a simulated [`SriovNic`], [`steer`] routes it in-process between
+//! stages hosted by one pipeline.
 
 use rb_fronthaul::ether::EthernetAddress;
+use rb_fronthaul::msg::FhMessage;
 use rb_netsim::engine::{port, Engine, Node, NodeId, PortAddr};
 use rb_netsim::nic::{SriovNic, PHYS_PORT};
 use rb_netsim::time::SimDuration;
+
+use crate::middlebox::{MbContext, Middlebox};
+use crate::telemetry::counters;
 
 /// Parameters of the NIC used to host a chain.
 #[derive(Debug, Clone, Copy)]
@@ -66,6 +74,45 @@ pub fn build_chain(
         members.push((host_id, mac));
     }
     Chain { nic: nic_id, phys: port(nic_id, PHYS_PORT), members }
+}
+
+/// Most stage-to-stage hops one input message may cause before [`steer`]
+/// stops re-dispatching: far above any real chain, low enough that a
+/// mis-wired loop ends.
+const MAX_HOPS: u64 = 256;
+
+/// Route `msg` through in-process `stages` by destination MAC, as the
+/// NIC's embedded switch would between VFs: stage `first` handles `msg`,
+/// and from then on `out` is the hop queue. Everything before the cursor
+/// has left the chain; a message at the cursor addressed to a stage's MAC
+/// is taken out and handed to that stage, whose outputs join the back of
+/// the queue; anything else leaves in emission order. Returns how many
+/// internal messages the hop cap dropped (a routing loop is a bug in the
+/// stage wiring; never expected).
+pub fn steer(
+    ctx: &mut MbContext<'_>,
+    stages: &mut [(EthernetAddress, &mut dyn Middlebox)],
+    first: usize,
+    msg: FhMessage,
+    out: &mut Vec<FhMessage>,
+) -> u64 {
+    let mut cursor = out.len();
+    if let Some((_, stage)) = stages.get_mut(first) {
+        stage.handle_into(ctx, msg, out);
+    }
+    let mut hops = 0u64;
+    while let Some(dst) = out.get(cursor).map(|m| m.eth.dst) {
+        let Some((_, stage)) = stages.iter_mut().find(|(mac, _)| *mac == dst) else {
+            cursor = cursor.saturating_add(1);
+            continue;
+        };
+        let m = out.remove(cursor);
+        counters::bump(&mut hops);
+        if hops <= MAX_HOPS {
+            stage.handle_into(ctx, m, out);
+        }
+    }
+    hops.saturating_sub(MAX_HOPS)
 }
 
 #[cfg(test)]
@@ -152,6 +199,53 @@ mod tests {
         let nic = engine.node_as::<rb_netsim::nic::SriovNic>(chain.nic);
         assert!(nic.pcie_bytes > 0);
         assert_eq!(nic.floods, 0, "static steering avoids flooding");
+    }
+
+    #[test]
+    fn steer_stops_a_two_stage_loop_at_the_hop_cap() {
+        // A forwards to B and B back to A: nothing ever leaves, so the
+        // one message in flight is re-dispatched until the cap drops it.
+        let mut a = Passthrough::new("a", mac(11), mac(12));
+        let mut b = Passthrough::new("b", mac(12), mac(11));
+        let mut cache = crate::cache::SymbolCache::new(4);
+        let telemetry = crate::telemetry::TelemetrySender::disconnected("loop");
+        let mut ctx = MbContext {
+            now: SimTime::ZERO,
+            cache: &mut cache,
+            telemetry: &telemetry,
+            mapping: EaxcMapping::DEFAULT,
+            charges: Vec::new(),
+        };
+        let msg = FhMessage::new(
+            mac(1),
+            mac(11),
+            Eaxc::port(0),
+            0,
+            Body::CPlane(CPlaneRepr::single(
+                Direction::Downlink,
+                SymbolId::ZERO,
+                CompressionMethod::BFP9,
+                SectionFields::data(0, 0, 10, 1),
+            )),
+        );
+        // Something already emitted by an earlier frame stays untouched,
+        // even though it is addressed to a stage.
+        let mut out = vec![msg.clone()];
+        let dropped =
+            steer(&mut ctx, &mut [(mac(11), &mut a), (mac(12), &mut b)], 0, msg, &mut out);
+        assert_eq!(dropped, 1, "the looping message is dropped once, at the cap");
+        assert_eq!(out.len(), 1, "nothing left the loop");
+
+        // An acyclic two-stage chain drops nothing and emits in order.
+        let mut b = Passthrough::new("b", mac(12), mac(99));
+        let msg = out.pop().unwrap();
+        let dropped =
+            steer(&mut ctx, &mut [(mac(11), &mut a), (mac(12), &mut b)], 0, msg, &mut out);
+        assert_eq!(dropped, 0);
+        assert_eq!(
+            out.iter().map(|m| (m.eth.src, m.eth.dst)).collect::<Vec<_>>(),
+            [(mac(12), mac(99))]
+        );
     }
 
     #[test]

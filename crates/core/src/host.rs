@@ -18,7 +18,6 @@ use rb_netsim::stats::Histogram;
 
 use crate::middlebox::Middlebox;
 use crate::pipeline::{MbPipeline, ProcessOutcome};
-use crate::telemetry::TelemetrySender;
 
 pub use crate::pipeline::{HostStats, TrafficClass};
 
@@ -48,18 +47,6 @@ impl<M: Middlebox> MiddleboxHost<M> {
             tick: None,
             latency: Default::default(),
         }
-    }
-
-    /// Attach a telemetry sender (replaces the disconnected default).
-    pub fn with_telemetry(mut self, telemetry: TelemetrySender) -> Self {
-        self.pipeline.set_telemetry(telemetry);
-        self
-    }
-
-    /// Swap the telemetry sender at runtime (e.g. a monitoring
-    /// application subscribing to an already-deployed middlebox).
-    pub fn set_telemetry(&mut self, telemetry: TelemetrySender) {
-        self.pipeline.set_telemetry(telemetry);
     }
 
     /// Deliver a periodic tick with `tag` to the middlebox every `period`

@@ -406,6 +406,30 @@ impl<M: Middlebox> MbPipeline<M> {
         self.run_handler(now, emit, |mb, ctx, out| mb.on_tick(ctx, tag, out));
     }
 
+    /// Replay timestamped `frames` through [`MbPipeline::process`] on the
+    /// frames' own clock. With `tick = Some((period_ns, tag))` the
+    /// middlebox also gets a periodic [`MbPipeline::tick`], first at
+    /// `period_ns`: every tick due at or before a frame's timestamp is
+    /// delivered before that frame — what a hosting node's timer wheel
+    /// would do. `emit` receives each output with the time it was emitted.
+    pub fn replay<'f>(
+        &mut self,
+        frames: impl IntoIterator<Item = (u64, &'f [u8])>,
+        tick: Option<(u64, u64)>,
+        emit: &mut dyn FnMut(u64, &[u8]),
+    ) {
+        let mut next_tick = tick.map_or(0, |(period, _)| period);
+        for (at_ns, frame) in frames {
+            if let Some((period, tag)) = tick {
+                while next_tick <= at_ns {
+                    self.tick(SimTime(next_tick), tag, &mut |b: &[u8]| emit(next_tick, b));
+                    next_tick = next_tick.saturating_add(period.max(1));
+                }
+            }
+            self.process(SimTime(at_ns), frame, &mut |b: &[u8]| emit(at_ns, b));
+        }
+    }
+
     /// Run one handler entry point with a fresh charge ledger and the
     /// (empty) emit scratch, then transmit what it emitted, in order.
     fn run_handler(

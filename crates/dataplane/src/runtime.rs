@@ -464,13 +464,34 @@ mod tests {
 
     #[test]
     fn telemetry_flows_from_workers() {
+        use rb_core::mgmt::{Match, Rule, RuleAction};
+        use rb_core::telemetry::{TelemetryEvent, TelemetryRecord};
+
         let (tx, rx) = rb_core::telemetry::channel("dp");
-        let mut io = MemReplay::from_bytes(capture(10)).unwrap();
-        let cfg = RuntimeConfig::new(mac(10)).with_workers(2).with_telemetry(tx);
+        let mut io = MemReplay::from_bytes(capture(32)).unwrap();
+        let mut cfg = RuntimeConfig::new(mac(10)).with_workers(2).with_telemetry(tx);
+        let rules = SharedRules::new();
+        rules.write().push(Rule {
+            matcher: Match { eaxc_raw: Some(5), ..Match::any() },
+            action: RuleAction::Drop,
+        });
+        cfg.rules = Some(rules);
         Runtime::run(&cfg, &mut io, |_| Passthrough::new("pt", mac(10), mac(20))).unwrap();
         let records = rx.drain();
         assert!(!records.is_empty());
         assert!(records.iter().any(|r| &*r.source == "dp/w0"));
         assert!(records.iter().any(|r| &*r.source == "dp/w1"));
+        // Pipeline counters reach the receiver too: a rule drop on a
+        // worker is visible without the run report.
+        let deltas = |wanted: &str| -> Vec<u64> {
+            let counter = |r: &TelemetryRecord| match r.event {
+                TelemetryEvent::Counter { name, delta } if name == wanted => Some(delta),
+                _ => None,
+            };
+            records.iter().filter_map(counter).collect()
+        };
+        let dropped: u64 = deltas("rule_drops").iter().sum();
+        assert_eq!(dropped, 2, "the 2 frames of eAxC 5, whichever worker got them");
+        assert_eq!(deltas("seq_untracked"), [0, 0], "each worker exports it, even at zero");
     }
 }

@@ -6,7 +6,7 @@
 //! shows how close each ring came to shedding. Both are
 //! [`rb_netsim::stats::Histogram`]s — recording is one `leading_zeros` and
 //! a shift on the hot path — and both are exported over the bounded
-//! telemetry channel at shutdown.
+//! telemetry channel at shutdown, with every pipeline counter.
 
 use rb_core::pipeline::HostStats;
 use rb_core::telemetry::TelemetrySender;
@@ -77,13 +77,35 @@ impl WorkerStats {
     }
 }
 
-/// Export a pipeline's impairment-facing counters — sequence gaps,
-/// duplicates and corrupt frames — over telemetry at worker shutdown,
-/// next to the `dp_*` worker counters.
+/// Export every pipeline counter over telemetry at worker shutdown, next
+/// to the `dp_*` worker counters, so a frame the pipeline refused (rule
+/// drop, MAC filter, parse or emit error) is visible to a
+/// [`rb_core::telemetry::TelemetryReceiver`] and not only in the report.
 pub fn export_pipeline(stats: &HostStats, telemetry: &TelemetrySender, at_ns: u64) {
-    telemetry.count(at_ns, "seq_gaps", stats.seq_gaps);
-    telemetry.count(at_ns, "seq_dups", stats.seq_dups);
-    telemetry.count(at_ns, "frames_corrupt", stats.frames_corrupt);
+    // Exhaustive on purpose: a new counter that is not exported here is a
+    // compile error, not a reading telemetry never sees.
+    let HostStats {
+        rx,
+        tx,
+        parse_errors,
+        not_for_us,
+        rule_drops,
+        emit_errors,
+        seq_gaps,
+        seq_dups,
+        frames_corrupt,
+        seq_untracked,
+    } = *stats;
+    telemetry.count(at_ns, "mb_rx", rx);
+    telemetry.count(at_ns, "mb_tx", tx);
+    telemetry.count(at_ns, "parse_errors", parse_errors);
+    telemetry.count(at_ns, "not_for_us", not_for_us);
+    telemetry.count(at_ns, "rule_drops", rule_drops);
+    telemetry.count(at_ns, "emit_errors", emit_errors);
+    telemetry.count(at_ns, "seq_gaps", seq_gaps);
+    telemetry.count(at_ns, "seq_dups", seq_dups);
+    telemetry.count(at_ns, "frames_corrupt", frames_corrupt);
+    telemetry.count(at_ns, "seq_untracked", seq_untracked);
 }
 
 /// Everything a worker hands back when it exits: its runtime counters and
@@ -118,6 +140,7 @@ pub struct CollectorStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rb_core::telemetry::TelemetryEvent;
 
     #[test]
     fn worker_stats_merge_sums_every_field() {
@@ -161,5 +184,16 @@ mod tests {
         let got = rx.drain();
         assert_eq!(got.len(), 10);
         assert!(got.iter().all(|r| &*r.source == "w0" && r.at_ns == 123));
+
+        let pipeline = HostStats { rule_drops: 4, seq_untracked: 9, ..HostStats::default() };
+        export_pipeline(&pipeline, &tx, 456);
+        let got = rx.drain();
+        assert_eq!(got.len(), 10, "one counter per HostStats field");
+        let has = |name, delta| {
+            got.iter().any(|r| r.event == TelemetryEvent::Counter { name, delta } && r.at_ns == 456)
+        };
+        assert!(has("rule_drops", 4));
+        assert!(has("seq_untracked", 9));
+        assert!(has("mb_tx", 0), "zero counters are exported too");
     }
 }

@@ -4,14 +4,15 @@
 //! and fail back cleanly when the operator asks.
 //!
 //! The dataplane runtime does not drive middlebox timers, so this test
-//! pulls frames out of the chaos-wrapped replay source and runs the
-//! pipeline by hand, firing the watchdog tick once per simulated
-//! millisecond — exactly what a hosting node's timer wheel would do.
+//! pulls the frames out of the chaos-wrapped replay source and hands them
+//! to `MbPipeline::replay`, which fires the watchdog tick once per
+//! simulated millisecond — exactly what a hosting node's timer wheel
+//! would do.
 
 use rb_apps::resilience::{Resilience, ResilienceConfig, WATCHDOG_TICK};
 use rb_core::pipeline::MbPipeline;
 use rb_dataplane::chaos::{ChaosConfig, ChaosIo, Outage};
-use rb_dataplane::io::{FrameIo, MemReplay, RxPoll};
+use rb_dataplane::io::{FrameIo, MemReplay, RawFrame, RxPoll};
 use rb_fronthaul::bfp::CompressionMethod;
 use rb_fronthaul::cplane::{CPlaneRepr, SectionFields};
 use rb_fronthaul::eaxc::{Eaxc, EaxcMapping};
@@ -64,6 +65,13 @@ fn cplane(src: EthernetAddress, dir: Direction) -> Vec<u8> {
     .unwrap()
 }
 
+/// Everything `io` delivers until end of capture, in arrival order.
+fn drain(io: &mut impl FrameIo) -> Vec<RawFrame> {
+    let mut frames = Vec::new();
+    while !matches!(io.rx_batch(&mut frames, 32), RxPoll::Eof) {}
+    frames
+}
+
 /// 60 ms of healthy traffic: one DL frame from the primary and one UL
 /// frame from the RU every millisecond.
 fn capture() -> Vec<u8> {
@@ -85,28 +93,11 @@ fn outage_triggers_failover_within_budget_and_failback_restores_primary() {
     let mapping = EaxcMapping::DEFAULT;
     // (emit time, destination) of every frame the middlebox produced.
     let mut routed: Vec<(u64, EthernetAddress)> = Vec::new();
-    let mut frames = Vec::new();
-    let mut next_tick = TICK;
-    loop {
-        frames.clear();
-        match io.rx_batch(&mut frames, 32) {
-            RxPoll::Ready(_) => {
-                for f in frames.drain(..) {
-                    while next_tick <= f.at_ns {
-                        pipeline.tick(SimTime(next_tick), WATCHDOG_TICK, &mut |_b: &[u8]| {});
-                        next_tick += TICK;
-                    }
-                    let at = f.at_ns;
-                    pipeline.process(SimTime(at), &f.bytes, &mut |b: &[u8]| {
-                        let msg = FhMessage::parse(b, &mapping).unwrap();
-                        routed.push((at, msg.eth.dst));
-                    });
-                }
-            }
-            RxPoll::Idle => continue,
-            RxPoll::Eof => break,
-        }
-    }
+    pipeline.replay(
+        drain(&mut io).iter().map(|f| (f.at_ns, &f.bytes[..])),
+        Some((TICK, WATCHDOG_TICK)),
+        &mut |at, b: &[u8]| routed.push((at, FhMessage::parse(b, &mapping).unwrap().eth.dst)),
+    );
 
     // The outage swallowed the primary's downlink but not the RU's uplink.
     let stats = io.stats();
@@ -158,24 +149,11 @@ fn no_failover_without_an_outage() {
     // watchdog must stay quiet for the full hour of traffic.
     let mut io = ChaosIo::new(MemReplay::from_bytes(capture()).unwrap(), ChaosConfig::new(11));
     let mut pipeline = MbPipeline::new(resilience(), mac(10));
-    let mut frames = Vec::new();
-    let mut next_tick = TICK;
-    loop {
-        frames.clear();
-        match io.rx_batch(&mut frames, 32) {
-            RxPoll::Ready(_) => {
-                for f in frames.drain(..) {
-                    while next_tick <= f.at_ns {
-                        pipeline.tick(SimTime(next_tick), WATCHDOG_TICK, &mut |_b: &[u8]| {});
-                        next_tick += TICK;
-                    }
-                    pipeline.process(SimTime(f.at_ns), &f.bytes, &mut |_b: &[u8]| {});
-                }
-            }
-            RxPoll::Idle => continue,
-            RxPoll::Eof => break,
-        }
-    }
+    pipeline.replay(
+        drain(&mut io).iter().map(|f| (f.at_ns, &f.bytes[..])),
+        Some((TICK, WATCHDOG_TICK)),
+        &mut |_, _| {},
+    );
     assert_eq!(io.stats().rx.outage_dropped, 0);
     assert!(pipeline.middlebox().last_failover().is_none(), "healthy primary must keep the RU");
     assert_eq!(pipeline.middlebox().stats.failovers, 0);

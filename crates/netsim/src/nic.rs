@@ -10,11 +10,11 @@
 //! Port numbering: port 0 is the physical wire port; ports `1..=num_vfs`
 //! are the VFs.
 
-use std::collections::HashMap;
-
-use rb_fronthaul::ether::{EthernetAddress, Frame};
+use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 use crate::engine::{Node, NodeEvent, Outbox};
+use crate::switch::Switch;
 use crate::time::{SimDuration, SimTime};
 
 /// Index of the physical port on a [`SriovNic`].
@@ -22,24 +22,20 @@ pub const PHYS_PORT: usize = 0;
 
 const FLUSH_TIMER: u64 = u64::MAX;
 
-/// An SR-IOV capable NIC node with an embedded learning switch.
+/// An SR-IOV capable NIC node: PCIe admission and VF latency in front of
+/// an embedded [`Switch`], to which it dereferences — `learn_static`,
+/// `lookup`, `ports`, `floods` and `malformed_drops` are the switch's.
 pub struct SriovNic {
-    name: String,
-    num_vfs: usize,
-    fdb: HashMap<EthernetAddress, usize>,
+    switch: Switch,
     /// One-way latency of a VF crossing (DMA + doorbell), excluding PCIe
     /// serialization.
     vf_latency: SimDuration,
     /// PCIe bandwidth shared by all VF crossings, in gigabits per second.
     pcie_gbps: f64,
     pcie_busy_until: SimTime,
-    pending: Vec<(SimTime, usize, Vec<u8>)>,
+    pending: VecDeque<(SimTime, usize, Vec<u8>)>,
     /// Total bytes that crossed the PCIe bus.
     pub pcie_bytes: u64,
-    /// Frames dropped as unparseable.
-    pub malformed_drops: u64,
-    /// Frames flooded to all ports.
-    pub floods: u64,
 }
 
 impl SriovNic {
@@ -56,92 +52,53 @@ impl SriovNic {
         assert!(num_vfs >= 1, "need at least one VF");
         assert!(pcie_gbps > 0.0);
         SriovNic {
-            name: name.into(),
-            num_vfs,
-            fdb: HashMap::new(),
+            switch: Switch::new(name, num_vfs + 1),
             vf_latency,
             pcie_gbps,
             pcie_busy_until: SimTime::ZERO,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             pcie_bytes: 0,
-            malformed_drops: 0,
-            floods: 0,
         }
     }
 
-    /// Total number of ports (physical + VFs).
-    pub fn ports(&self) -> usize {
-        self.num_vfs + 1
-    }
-
-    /// Install a static forwarding entry (e.g. steer a DU's MAC to the
-    /// first middlebox in a chain).
-    pub fn learn_static(&mut self, mac: EthernetAddress, port: usize) {
-        assert!(port < self.ports());
-        self.fdb.insert(mac, port);
-    }
-
-    /// When a frame to/from a VF would be delivered, given PCIe contention.
-    fn pcie_admit(&mut self, now: SimTime, bytes: usize) -> SimTime {
-        let start = if self.pcie_busy_until > now { self.pcie_busy_until } else { now };
-        let ser = SimDuration::for_bytes_at_gbps(bytes, self.pcie_gbps);
-        self.pcie_busy_until = start + ser;
-        self.pcie_bytes += bytes as u64;
-        self.pcie_busy_until
-    }
-
-    fn enqueue(&mut self, out: &mut Outbox, release: SimTime, port: usize, frame: Vec<u8>) {
-        self.pending.push((release, port, frame));
-        out.schedule_at(release, FLUSH_TIMER);
-    }
-
+    /// Every forwarded frame enters or leaves through a VF (there is one
+    /// physical port and no hairpin), so each pays the PCIe crossing:
+    /// serialization behind whatever already occupies the bus, then the
+    /// VF latency.
     fn forward(&mut self, out: &mut Outbox, in_port: usize, frame: Vec<u8>) {
         let now = out.now();
-        let Ok(eth) = Frame::new_checked(&frame[..]) else {
-            self.malformed_drops += 1;
-            return;
-        };
-        let src = eth.src();
-        let dst = eth.dst();
-        if src.is_unicast() {
-            self.fdb.insert(src, in_port);
-        }
-        let out_ports: Vec<usize> = match self.fdb.get(&dst) {
-            Some(&p) if dst.is_unicast() => {
-                if p == in_port {
-                    return;
-                }
-                vec![p]
-            }
-            _ => {
-                self.floods += 1;
-                (0..self.ports()).filter(|&p| p != in_port).collect()
-            }
-        };
-        for out_port in &out_ports {
-            let f = frame.clone();
-            // Any hop that involves a VF pays the PCIe crossing.
-            let involves_vf = in_port != PHYS_PORT || *out_port != PHYS_PORT;
-            if involves_vf {
-                let release = self.pcie_admit(now, f.len()) + self.vf_latency;
-                self.enqueue(out, release, *out_port, f);
-            } else {
-                out.send(*out_port, f);
-            }
-        }
+        let SriovNic { switch, vf_latency, pcie_gbps, pcie_busy_until, pending, pcie_bytes } = self;
+        switch.forward(in_port, frame, |out_port, f| {
+            let start = (*pcie_busy_until).max(now);
+            *pcie_busy_until = start + SimDuration::for_bytes_at_gbps(f.len(), *pcie_gbps);
+            *pcie_bytes += f.len() as u64;
+            let release = *pcie_busy_until + *vf_latency;
+            pending.push_back((release, out_port, f));
+            out.schedule_at(release, FLUSH_TIMER);
+        });
     }
 
+    /// Release what is due. The bus is a FIFO and the VF latency constant,
+    /// so `pending` is ordered by release time.
     fn flush_due(&mut self, out: &mut Outbox) {
-        let now = out.now();
-        let mut rest = Vec::with_capacity(self.pending.len());
-        for (release, port, frame) in self.pending.drain(..) {
-            if release <= now {
-                out.send(port, frame);
-            } else {
-                rest.push((release, port, frame));
-            }
+        let due = self.pending.partition_point(|(release, ..)| *release <= out.now());
+        for (_, port, frame) in self.pending.drain(..due) {
+            out.send(port, frame);
         }
-        self.pending = rest;
+    }
+}
+
+impl Deref for SriovNic {
+    type Target = Switch;
+
+    fn deref(&self) -> &Switch {
+        &self.switch
+    }
+}
+
+impl DerefMut for SriovNic {
+    fn deref_mut(&mut self) -> &mut Switch {
+        &mut self.switch
     }
 }
 
@@ -155,7 +112,7 @@ impl Node for SriovNic {
     }
 
     fn name(&self) -> &str {
-        &self.name
+        self.switch.name()
     }
 }
 
@@ -163,7 +120,7 @@ impl Node for SriovNic {
 mod tests {
     use super::*;
     use crate::engine::{port, Engine};
-    use rb_fronthaul::ether::{EtherType, FrameRepr};
+    use rb_fronthaul::ether::{EtherType, EthernetAddress, Frame, FrameRepr};
 
     fn mac(last: u8) -> EthernetAddress {
         EthernetAddress::new(0x02, 0, 0, 0, 0, last)

@@ -42,13 +42,19 @@ impl Switch {
         assert!(port < self.ports);
         self.fdb.insert(mac, port);
     }
-}
 
-impl Node for Switch {
-    fn on_event(&mut self, ev: NodeEvent, out: &mut Outbox) {
-        let NodeEvent::Packet { port, frame } = ev else {
-            return;
-        };
+    /// The one L2 forwarding decision of the simulator, shared with the
+    /// embedded switch of [`crate::nic::SriovNic`]: learn the source on
+    /// `in_port`, then hand `frame` to `send` once per egress port — the
+    /// learned port for a known unicast destination (never back out of the
+    /// ingress port, like a real switch), every other port for an unknown
+    /// or broadcast one. Unparseable frames are counted and dropped.
+    pub(crate) fn forward(
+        &mut self,
+        in_port: usize,
+        frame: Vec<u8>,
+        mut send: impl FnMut(usize, Vec<u8>),
+    ) {
         let Ok(eth) = Frame::new_checked(&frame[..]) else {
             self.malformed_drops += 1;
             return;
@@ -56,24 +62,28 @@ impl Node for Switch {
         let src = eth.src();
         let dst = eth.dst();
         if src.is_unicast() {
-            self.fdb.insert(src, port);
+            self.fdb.insert(src, in_port);
         }
         match self.fdb.get(&dst) {
             Some(&out_port) if dst.is_unicast() => {
-                if out_port != port {
-                    out.send(out_port, frame);
+                if out_port != in_port {
+                    send(out_port, frame);
                 }
-                // Frames "switched" back to the ingress port are dropped,
-                // like a real switch.
             }
             _ => {
                 self.floods += 1;
-                for p in 0..self.ports {
-                    if p != port {
-                        out.send(p, frame.clone());
-                    }
+                for p in (0..self.ports).filter(|&p| p != in_port) {
+                    send(p, frame.clone());
                 }
             }
+        }
+    }
+}
+
+impl Node for Switch {
+    fn on_event(&mut self, ev: NodeEvent, out: &mut Outbox) {
+        if let NodeEvent::Packet { port, frame } = ev {
+            self.forward(port, frame, |p, f| out.send(p, f));
         }
     }
 

@@ -6,12 +6,7 @@
 //! helpers convert both ways, resolving the wrap against a cursor hint.
 
 use rb_fronthaul::timing::{Numerology, SymbolId, SUBFRAMES_PER_FRAME};
-use rb_netsim::time::{SimDuration, SimTime};
-
-/// Slot duration for a numerology as a [`SimDuration`].
-pub fn slot_duration(n: Numerology) -> SimDuration {
-    SimDuration::from_nanos(n.slot_ns())
-}
+use rb_netsim::time::SimTime;
 
 /// Start time of an absolute slot.
 pub fn slot_start(n: Numerology, slot: u32) -> SimTime {
@@ -59,6 +54,7 @@ pub fn absolute_slot(n: Numerology, id: SymbolId, hint: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rb_netsim::time::SimDuration;
 
     const MU1: Numerology = Numerology::Mu1;
 

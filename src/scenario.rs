@@ -13,12 +13,14 @@ use rb_apps::das::{Das, DasConfig};
 use rb_apps::dmimo::{Dmimo, DmimoConfig, PhysicalRu, SsbBand};
 use rb_apps::prbmon::{PrbMon, PrbMonConfig};
 use rb_apps::rushare::{CarrierSpec, RuShare, RuShareConfig, SharedDu};
+use rb_core::chain::{build_chain, ChainSpec};
 use rb_core::host::MiddleboxHost;
 use rb_core::middlebox::Middlebox;
 use rb_fronthaul::ether::EthernetAddress;
 use rb_fronthaul::timing::Numerology;
 use rb_netsim::cost::CostModel;
-use rb_netsim::engine::{port, Engine, NodeId};
+use rb_netsim::engine::{port, Engine, Node, NodeId};
+use rb_netsim::nic::{SriovNic, PHYS_PORT};
 use rb_netsim::switch::Switch;
 use rb_netsim::time::{SimDuration, SimTime};
 use rb_radio::cell::CellConfig;
@@ -109,7 +111,19 @@ impl Wiring {
         id
     }
 
-    fn add_ru(&mut self, cfg: RuConfig) -> NodeId {
+    /// RU `k` (MAC `ru_mac(k)`) with `ports` antenna ports at `pos`, on the
+    /// carrier (`center_hz`, `num_prb`), serving `pcis` towards `peer`.
+    fn add_ru(
+        &mut self,
+        k: u8,
+        peer: EthernetAddress,
+        (center_hz, num_prb): (i64, u16),
+        ports: u8,
+        pos: Position,
+        pcis: Vec<u16>,
+    ) -> NodeId {
+        let tag = u64::from(k) + 1;
+        let cfg = RuConfig::new(ru_mac(k), peer, center_hz, num_prb, ports, pos, pcis, tag);
         let tick = cfg.tick_offset;
         let ru = Ru::new(cfg, self.medium.clone());
         let id = self.engine.add_node(Box::new(ru));
@@ -131,6 +145,37 @@ impl Wiring {
         self.attach(id, MB_GBPS);
         self.mbs.push(id);
         id
+    }
+
+    /// The DU side of an RU-sharing deployment: one DU per cell, each
+    /// believing the middlebox at `mb_mac(0)` is its RU, and the RU-sharing
+    /// middlebox that muxes them onto the carrier (`ru_center_hz`,
+    /// `ru_num_prb`) of whatever answers at `ru_mac`. Also returns the
+    /// antenna ports and PCIs the radios behind it must serve.
+    fn add_shared_dus(
+        &mut self,
+        (ru_center_hz, ru_num_prb): (i64, u16),
+        du_cells: Vec<CellConfig>,
+        ru_mac: EthernetAddress,
+    ) -> (RuShare, u8, Vec<u16>) {
+        let scs = du_cells[0].scs_hz();
+        let ports = du_cells.iter().map(|c| c.layers).max().unwrap_or(1);
+        let pcis = du_cells.iter().map(|c| c.pci).collect();
+        let dus = du_cells
+            .iter()
+            .enumerate()
+            .map(|(k, c)| SharedDu {
+                mac: du_mac(k as u8),
+                du_id: c.pci,
+                carrier: CarrierSpec { center_hz: c.center_hz, num_prb: c.num_prb, scs_hz: scs },
+            })
+            .collect();
+        for (k, cell) in du_cells.into_iter().enumerate() {
+            self.add_du(DuConfig::new(cell, du_mac(k as u8), mb_mac(0)));
+        }
+        let ru = CarrierSpec { center_hz: ru_center_hz, num_prb: ru_num_prb, scs_hz: scs };
+        let share = RuShare::new("rushare", RuShareConfig { mb_mac: mb_mac(0), ru_mac, ru, dus });
+        (share, ports, pcis)
     }
 
     fn finish(self) -> Deployment {
@@ -218,12 +263,9 @@ impl Deployment {
     /// A single cell wired directly to one RU — the paper's baselines.
     pub fn single_cell(cell: CellConfig, ru_pos: Position, seed: u64) -> Deployment {
         let mut w = Wiring::new(2, seed);
-        let ports = cell.layers;
-        let center = cell.center_hz;
-        let num_prb = cell.num_prb;
-        let pci = cell.pci;
+        let (carrier, ports, pci) = ((cell.center_hz, cell.num_prb), cell.layers, cell.pci);
         w.add_du(DuConfig::new(cell, du_mac(0), ru_mac(0)));
-        w.add_ru(RuConfig::new(ru_mac(0), du_mac(0), center, num_prb, ports, ru_pos, vec![pci], 1));
+        w.add_ru(0, du_mac(0), carrier, ports, ru_pos, vec![pci]);
         w.finish()
     }
 
@@ -234,21 +276,9 @@ impl Deployment {
         let mut w = Wiring::new(2 * n, seed);
         for (k, (cell, pos)) in cells.into_iter().enumerate() {
             let k = k as u8;
-            let ports = cell.layers;
-            let center = cell.center_hz;
-            let num_prb = cell.num_prb;
-            let pci = cell.pci;
+            let (carrier, ports, pci) = ((cell.center_hz, cell.num_prb), cell.layers, cell.pci);
             w.add_du(DuConfig::new(cell, du_mac(k), ru_mac(k)));
-            w.add_ru(RuConfig::new(
-                ru_mac(k),
-                du_mac(k),
-                center,
-                num_prb,
-                ports,
-                pos,
-                vec![pci],
-                k as u64 + 1,
-            ));
+            w.add_ru(k, du_mac(k), carrier, ports, pos, vec![pci]);
         }
         w.finish()
     }
@@ -269,29 +299,14 @@ impl Deployment {
     ) -> Deployment {
         let n = ru_positions.len();
         let mut w = Wiring::new(n + 2, seed);
-        let ports = cell.layers;
-        let center = cell.center_hz;
-        let num_prb = cell.num_prb;
-        let pci = cell.pci;
+        let (carrier, ports, pci) = ((cell.center_hz, cell.num_prb), cell.layers, cell.pci);
         let ru_macs: Vec<EthernetAddress> = (0..n as u8).map(ru_mac).collect();
         // The DU believes the middlebox is its RU; RUs believe it is the DU.
         w.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
-        let das = Das::new(
-            "das",
-            DasConfig { mb_mac: mb_mac(0), du_mac: du_mac(0), ru_macs: ru_macs.clone() },
-        );
+        let das = Das::new("das", DasConfig { mb_mac: mb_mac(0), du_mac: du_mac(0), ru_macs });
         w.add_mb(das, mb_mac(0), cost, cores);
         for (k, pos) in ru_positions.iter().enumerate() {
-            w.add_ru(RuConfig::new(
-                ru_macs[k],
-                mb_mac(0),
-                center,
-                num_prb,
-                ports,
-                *pos,
-                vec![pci],
-                k as u64 + 1,
-            ));
+            w.add_ru(k as u8, mb_mac(0), carrier, ports, *pos, vec![pci]);
         }
         w.finish()
     }
@@ -320,9 +335,7 @@ impl Deployment {
         let total: u8 = rus.iter().map(|(_, p)| p).sum();
         assert_eq!(cell.layers, total, "cell layers must match aggregate ports");
         let mut w = Wiring::new(rus.len() + 2, seed);
-        let center = cell.center_hz;
-        let num_prb = cell.num_prb;
-        let pci = cell.pci;
+        let (carrier, pci) = ((cell.center_hz, cell.num_prb), cell.pci);
         let ssb = SsbBand { start_prb: cell.ssb.start_prb, num_prb: cell.ssb.num_prb };
         w.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
         let mb = Dmimo::new(
@@ -341,16 +354,7 @@ impl Deployment {
         );
         w.add_mb(mb, mb_mac(0), cost, cores);
         for (k, (pos, ports)) in rus.iter().enumerate() {
-            w.add_ru(RuConfig::new(
-                ru_mac(k as u8),
-                mb_mac(0),
-                center,
-                num_prb,
-                *ports,
-                *pos,
-                vec![pci],
-                k as u64 + 1,
-            ));
+            w.add_ru(k as u8, mb_mac(0), carrier, *ports, *pos, vec![pci]);
         }
         w.finish()
     }
@@ -365,64 +369,34 @@ impl Deployment {
         ru_pos: Position,
         seed: u64,
     ) -> Deployment {
-        let n = du_cells.len();
-        let mut w = Wiring::new(n + 2, seed);
-        let scs = du_cells[0].scs_hz();
-        let ports = du_cells.iter().map(|c| c.layers).max().unwrap_or(1);
-        let pcis: Vec<u16> = du_cells.iter().map(|c| c.pci).collect();
-        let shared_dus: Vec<SharedDu> = du_cells
-            .iter()
-            .enumerate()
-            .map(|(k, c)| SharedDu {
-                mac: du_mac(k as u8),
-                du_id: c.pci,
-                carrier: CarrierSpec { center_hz: c.center_hz, num_prb: c.num_prb, scs_hz: scs },
-            })
-            .collect();
-        for (k, cell) in du_cells.into_iter().enumerate() {
-            w.add_du(DuConfig::new(cell, du_mac(k as u8), mb_mac(0)));
-        }
-        let mb = RuShare::new(
-            "rushare",
-            RuShareConfig {
-                mb_mac: mb_mac(0),
-                ru_mac: ru_mac(0),
-                ru: CarrierSpec { center_hz: ru_center_hz, num_prb: ru_num_prb, scs_hz: scs },
-                dus: shared_dus,
-            },
-        );
-        w.add_mb(mb, mb_mac(0), CostModel::dpdk(), 1);
-        w.add_ru(RuConfig::new(
-            ru_mac(0),
-            mb_mac(0),
-            ru_center_hz,
-            ru_num_prb,
-            ports,
-            ru_pos,
-            pcis,
-            1,
-        ));
+        let mut w = Wiring::new(du_cells.len() + 2, seed);
+        let carrier = (ru_center_hz, ru_num_prb);
+        let (share, ports, pcis) = w.add_shared_dus(carrier, du_cells, ru_mac(0));
+        w.add_mb(share, mb_mac(0), CostModel::dpdk(), 1);
+        w.add_ru(0, mb_mac(0), carrier, ports, ru_pos, pcis);
         w.finish()
     }
 
     /// A cell behind an inline PRB monitor (§6.2.4).
     pub fn prbmon(cell: CellConfig, ru_pos: Position, seed: u64) -> Deployment {
         let mut w = Wiring::new(3, seed);
-        let ports = cell.layers;
-        let center = cell.center_hz;
-        let num_prb = cell.num_prb;
-        let pci = cell.pci;
+        let (carrier, ports, pci) = ((cell.center_hz, cell.num_prb), cell.layers, cell.pci);
         w.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
-        let mon =
-            PrbMon::new("prbmon", PrbMonConfig::standard(mb_mac(0), du_mac(0), ru_mac(0), num_prb));
+        let mon = PrbMon::new(
+            "prbmon",
+            PrbMonConfig::standard(mb_mac(0), du_mac(0), ru_mac(0), carrier.1),
+        );
         w.add_mb(mon, mb_mac(0), CostModel::dpdk(), 1);
-        w.add_ru(RuConfig::new(ru_mac(0), mb_mac(0), center, num_prb, ports, ru_pos, vec![pci], 1));
+        w.add_ru(0, mb_mac(0), carrier, ports, ru_pos, vec![pci]);
         w.finish()
     }
 
     /// Figure 12: two MNOs' DUs → RU-sharing middlebox → DAS middlebox →
-    /// four shared RUs across a floor. Returns a deployment whose
-    /// `mbs[0]` is the RU-share host and `mbs[1]` the DAS host.
+    /// four shared RUs across a floor. The two middleboxes are chained the
+    /// paper's way (§5, Figure 8): each on a VF of one SR-IOV NIC whose
+    /// physical port hangs off the fronthaul switch, steered purely by MAC.
+    /// Returns a deployment whose `mbs[0]` is the RU-share host and
+    /// `mbs[1]` the DAS host.
     pub fn rushare_das_chain(
         ru_center_hz: i64,
         ru_num_prb: u16,
@@ -431,52 +405,29 @@ impl Deployment {
         seed: u64,
     ) -> Deployment {
         let n_dus = du_cells.len();
-        let n_rus = ru_positions.len();
-        let mut w = Wiring::new(n_dus + n_rus + 3, seed);
-        let scs = du_cells[0].scs_hz();
-        let ports = du_cells.iter().map(|c| c.layers).max().unwrap_or(1);
-        let pcis: Vec<u16> = du_cells.iter().map(|c| c.pci).collect();
-        let shared_dus: Vec<SharedDu> = du_cells
-            .iter()
-            .enumerate()
-            .map(|(k, c)| SharedDu {
-                mac: du_mac(k as u8),
-                du_id: c.pci,
-                carrier: CarrierSpec { center_hz: c.center_hz, num_prb: c.num_prb, scs_hz: scs },
-            })
-            .collect();
-        for (k, cell) in du_cells.into_iter().enumerate() {
-            w.add_du(DuConfig::new(cell, du_mac(k as u8), mb_mac(0)));
-        }
-        // RU-share's "RU" is the DAS middlebox.
-        let share = RuShare::new(
-            "rushare",
-            RuShareConfig {
-                mb_mac: mb_mac(0),
-                ru_mac: mb_mac(1),
-                ru: CarrierSpec { center_hz: ru_center_hz, num_prb: ru_num_prb, scs_hz: scs },
-                dus: shared_dus,
-            },
-        );
-        w.add_mb(share, mb_mac(0), CostModel::dpdk(), 1);
-        // DAS's "DU" is the RU-share middlebox.
-        let ru_macs: Vec<EthernetAddress> = (0..n_rus as u8).map(ru_mac).collect();
+        let mut w = Wiring::new(n_dus + ru_positions.len() + 1, seed);
+        // RU-share's "RU" is the DAS middlebox, DAS's "DU" is RU-share.
+        let carrier = (ru_center_hz, ru_num_prb);
+        let (share, ports, pcis) = w.add_shared_dus(carrier, du_cells, mb_mac(1));
+        let ru_macs: Vec<EthernetAddress> = (0..ru_positions.len() as u8).map(ru_mac).collect();
         let das = Das::new(
             "das",
             DasConfig { mb_mac: mb_mac(1), du_mac: mb_mac(0), ru_macs: ru_macs.clone() },
         );
-        w.add_mb(das, mb_mac(1), CostModel::dpdk(), 1);
+        let hosts: Vec<(Box<dyn Node>, EthernetAddress)> = vec![
+            (Box::new(MiddleboxHost::new(share, mb_mac(0), CostModel::dpdk(), 1)), mb_mac(0)),
+            (Box::new(MiddleboxHost::new(das, mb_mac(1), CostModel::dpdk(), 1)), mb_mac(1)),
+        ];
+        let chain = build_chain(&mut w.engine, "fig12", ChainSpec::default(), hosts);
+        w.attach(chain.nic, MB_GBPS);
+        w.mbs.extend(chain.members.iter().map(|&(host, _)| host));
+        // Everything that is not a VF is on the wire side: nothing floods.
+        let nic = w.engine.node_as_mut::<SriovNic>(chain.nic);
+        for wire_mac in (0..n_dus as u8).map(du_mac).chain(ru_macs.iter().copied()) {
+            nic.learn_static(wire_mac, PHYS_PORT);
+        }
         for (k, pos) in ru_positions.iter().enumerate() {
-            w.add_ru(RuConfig::new(
-                ru_macs[k],
-                mb_mac(1),
-                ru_center_hz,
-                ru_num_prb,
-                ports,
-                *pos,
-                pcis.clone(),
-                k as u64 + 1,
-            ));
+            w.add_ru(k as u8, mb_mac(1), carrier, ports, *pos, pcis.clone());
         }
         w.finish()
     }

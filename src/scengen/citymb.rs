@@ -22,8 +22,8 @@ use std::collections::HashMap;
 use rb_apps::das::{Das, DasConfig, DasStats};
 use rb_apps::dmimo::{Dmimo, DmimoConfig, PhysicalRu};
 use rb_apps::rushare::{RuShare, RuShareConfig, SharedDu};
-use rb_core::actions;
 use rb_core::middlebox::{MbContext, Middlebox};
+use rb_core::{actions, chain};
 use rb_fronthaul::eaxc::EaxcMapping;
 use rb_fronthaul::ether::EthernetAddress;
 use rb_fronthaul::msg::{Body, FhMessage};
@@ -96,32 +96,14 @@ pub struct ChainMb {
 }
 
 impl ChainMb {
-    /// `out` is the hop queue: everything before the cursor has left the
-    /// chain; an internal message at the cursor is taken out and handed to
-    /// its stage, whose outputs join the back of the queue.
-    fn handle_chain(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
-        let mut cursor = out.len();
-        if self.dus.contains(&msg.eth.src) {
-            self.rushare.handle_into(ctx, msg, out);
-        } else {
-            self.das.handle_into(ctx, msg, out);
-        }
-        let mut hops = 0u32;
-        while let Some(dst) = out.get(cursor).map(|m| m.eth.dst) {
-            if dst != self.a && dst != self.b {
-                cursor += 1;
-                continue;
-            }
-            let m = out.remove(cursor);
-            hops += 1;
-            if hops > 256 {
-                self.dropped_loops += 1;
-            } else if dst == self.a {
-                self.rushare.handle_into(ctx, m, out);
-            } else {
-                self.das.handle_into(ctx, m, out);
-            }
-        }
+    /// Enter at the stage facing the sender (a DU's frame at the
+    /// RU-sharing stage, a radio's at the DAS) and let
+    /// [`chain::steer`] carry internal hops.
+    fn enter(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        let first = usize::from(!self.dus.contains(&msg.eth.src));
+        let mut stages: [(EthernetAddress, &mut dyn Middlebox); 2] =
+            [(self.a, &mut self.rushare), (self.b, &mut self.das)];
+        self.dropped_loops += chain::steer(ctx, &mut stages, first, msg, out);
     }
 }
 
@@ -307,7 +289,7 @@ impl CityMb {
             SiteMb::Das(d) => d.handle_into(ctx, msg, out),
             SiteMb::Dmimo(d) => d.handle_into(ctx, msg, out),
             SiteMb::RuShare(r) => r.handle_into(ctx, msg, out),
-            SiteMb::Chain(c) => c.handle_chain(ctx, msg, out),
+            SiteMb::Chain(c) => c.enter(ctx, msg, out),
         }
     }
 }

@@ -56,7 +56,6 @@ pub use traffic::{symbol_for_round, Capture};
 use rb_core::pipeline::{HostStats, MbPipeline, SeqMode};
 use rb_dataplane::io::MemReplay;
 use rb_dataplane::runtime::{Runtime, RuntimeConfig, RuntimeReport};
-use rb_netsim::time::SimTime;
 
 /// A fully laid-out scenario: spec, topology and mobility timeline.
 #[derive(Debug, Clone)]
@@ -129,10 +128,7 @@ pub fn reference_run(scn: &Scenario, capture: &Capture) -> (Vec<Vec<u8>>, HostSt
     let mut pipeline = MbPipeline::new(scn.city_mb(), scn.topo.gateway);
     pipeline.set_seq_mode(SeqMode::Preserve);
     let mut out = Vec::new();
-    for (at_ns, frame) in &capture.frames {
-        pipeline.process(SimTime(*at_ns), frame, &mut |bytes: &[u8]| {
-            out.push(bytes.to_vec());
-        });
-    }
+    let frames = capture.frames.iter().map(|(at_ns, frame)| (*at_ns, frame.as_slice()));
+    pipeline.replay(frames, None, &mut |_, bytes: &[u8]| out.push(bytes.to_vec()));
     (out, pipeline.stats)
 }

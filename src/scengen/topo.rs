@@ -273,11 +273,6 @@ impl Topology {
         (ru, dus)
     }
 
-    /// PRB offset of operator `j`'s carrier inside the shared RU grid.
-    pub fn operator_offset(j: usize) -> u16 {
-        (j as u16) * DU_NUM_PRB
-    }
-
     /// Unpack a raw against the deployment's (default) mapping.
     pub fn eaxc(raw: u16) -> Eaxc {
         Eaxc::unpack(raw, &EaxcMapping::DEFAULT)

@@ -17,7 +17,6 @@ use ranbooster::dataplane::runtime::Runtime;
 use ranbooster::fronthaul::eaxc::EaxcMapping;
 use ranbooster::fronthaul::msg::FhMessage;
 use ranbooster::fronthaul::timing::Numerology;
-use ranbooster::netsim::time::SimTime;
 use ranbooster::radio::cell::CellConfig;
 use ranbooster::radio::channel::Position;
 use ranbooster::radio::medium::UeAttach;
@@ -153,9 +152,8 @@ fn handover_inside_das_merge_window_strands_exactly_one_partial_merge() {
     let mut pipeline = MbPipeline::new(scn.city_mb(), scn.topo.gateway);
     pipeline.set_seq_mode(SeqMode::Preserve);
     let mut ref_out = Vec::new();
-    for (at_ns, frame) in &cap.frames {
-        pipeline.process(SimTime(*at_ns), frame, &mut |b: &[u8]| ref_out.push(b.to_vec()));
-    }
+    let frames = cap.frames.iter().map(|(at_ns, frame)| (*at_ns, frame.as_slice()));
+    pipeline.replay(frames, None, &mut |_, b: &[u8]| ref_out.push(b.to_vec()));
     assert_eq!(pipeline.stats.parse_errors, 0);
 
     let das = pipeline.middlebox().das_stats_sum();

@@ -192,3 +192,25 @@ fn invalid_specs_are_rejected() {
         );
     }
 }
+
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[test]
+fn seed_42_city_bytes_are_pinned() {
+    // The byte-identity gate every refactor of the packet path quotes: the
+    // generated capture (as pcap) and the reference pipeline's output
+    // (each frame prefixed with its length as u64 LE) hash to constants.
+    let scn = Scenario::new(42, ScenarioSpec::city()).expect("city preset validates");
+    let cap = scn.capture();
+    assert_eq!(cap.frames.len(), 24_737);
+    assert_eq!(fnv1a(FNV_OFFSET, &cap.to_pcap()), 0x24f2_c2b5_b18e_8b59, "capture bytes moved");
+    let (out, _) = reference_run(&scn, &cap);
+    assert_eq!(out.len(), 26_794);
+    let hash =
+        out.iter().fold(FNV_OFFSET, |h, f| fnv1a(fnv1a(h, &(f.len() as u64).to_le_bytes()), f));
+    assert_eq!(hash, 0x3a09_f91d_3a0a_388d, "reference_run output bytes moved");
+}
