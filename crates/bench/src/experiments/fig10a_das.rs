@@ -27,7 +27,7 @@ fn windows(quick: bool) -> (u64, u64) {
 /// Baseline: single RU, two close UEs, aggregate iperf.
 fn baseline(quick: bool) -> (f64, f64) {
     let (a, b) = windows(quick);
-    let mut dep = Deployment::single_cell(cell(), Position::new(25.0, 10.0, 0), 101);
+    let mut dep = Deployment::single_cell(cell(), Position::new(25.0, 10.0, 0));
     dep.add_ue(Position::new(22.0, 10.0, 0), 4);
     dep.add_ue(Position::new(28.0, 10.0, 0), 4);
     let rates = dep.measure_mbps(a, b);
@@ -39,7 +39,7 @@ fn baseline(quick: bool) -> (f64, f64) {
 fn das_five_floors(quick: bool, solo_floor: Option<usize>) -> (f64, f64, usize) {
     let (a, b) = windows(quick);
     let ru_positions: Vec<Position> = (0..5).map(|f| Position::new(25.0, 10.0, f)).collect();
-    let mut dep = Deployment::das(cell(), &ru_positions, 102);
+    let mut dep = Deployment::das(cell(), &ru_positions);
     let ues: Vec<_> = (0..5).map(|f| dep.add_ue(Position::new(27.0, 10.0, f), 4)).collect();
     if let Some(active) = solo_floor {
         for (f, &ue) in ues.iter().enumerate() {

@@ -45,7 +45,6 @@ pub fn run(quick: bool) -> Report {
     let mut dep = Deployment::single_cell(
         CellConfig::mhz40(1, 3_430_000_000, 4),
         Position::new(10.0, 10.0, 0),
-        121,
     );
     let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
     let rates = dep.measure_mbps(a, b);
@@ -58,7 +57,7 @@ pub fn run(quick: bool) -> Report {
 
     // Shared: two 40 MHz cells on one 100 MHz RU.
     let cells = vec![du_cell(1, 0), du_cell(2, 160)];
-    let mut dep = Deployment::rushare(RU_CENTER, RU_PRBS, cells, Position::new(10.0, 10.0, 0), 122);
+    let mut dep = Deployment::rushare(RU_CENTER, RU_PRBS, cells, Position::new(10.0, 10.0, 0));
     let ue_a = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
     let ue_b = dep.add_ue(Position::new(8.0, 10.0, 0), 4);
     dep.force_cell(ue_a, 1);

@@ -13,10 +13,10 @@ use crate::report::{pct, Report};
 
 const CENTER: i64 = 3_460_000_000;
 
-fn one_level(dl_mbps: f64, ul_mbps: f64, quick: bool, seed: u64) -> (f64, f64, f64, f64) {
+fn one_level(dl_mbps: f64, ul_mbps: f64, quick: bool) -> (f64, f64, f64, f64) {
     let (settle, end) = if quick { (200, 350) } else { (200, 700) };
     let cell = CellConfig::mhz100(1, CENTER, 4);
-    let mut dep = Deployment::prbmon(cell, Position::new(10.0, 10.0, 0), seed);
+    let mut dep = Deployment::prbmon(cell, Position::new(10.0, 10.0, 0));
     let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
     dep.set_demand(0, ue, dl_mbps * 1e6, ul_mbps * 1e6);
     dep.run_ms(settle);
@@ -56,9 +56,9 @@ pub fn run(quick: bool) -> Report {
     let levels: &[f64] =
         if quick { &[0.0, 300.0, 700.0] } else { &[0.0, 100.0, 200.0, 300.0, 500.0, 700.0] };
     let mut max_err = 0.0f64;
-    for (k, &dl) in levels.iter().enumerate() {
+    for &dl in levels {
         let ul = dl / 10.0; // iperf UL alongside, scaled
-        let (est_dl, truth_dl, est_ul, truth_ul) = one_level(dl, ul, quick, 130 + k as u64);
+        let (est_dl, truth_dl, est_ul, truth_ul) = one_level(dl, ul, quick);
         max_err = max_err.max((est_dl - truth_dl).abs());
         r.row(vec![format!("{dl:.0}"), pct(est_dl), pct(truth_dl), pct(est_ul), pct(truth_ul)]);
     }

@@ -50,7 +50,7 @@ fn option1(quick: bool) -> Vec<f64> {
         .enumerate()
         .map(|(k, pos)| (CellConfig::mhz25(k as u16 + 1, BAND_LO + k as i64 * 25_000_000, 4), pos))
         .collect();
-    let mut dep = Deployment::multi_cell(cells, 141);
+    let mut dep = Deployment::multi_cell(cells);
     let ru1 = floor_ru_positions(0)[0];
     let static_ue = dep.add_ue(Position::new(ru1.x + 1.0, ru1.y, 0), 4);
     let mobile = dep.add_ue(Position::new(2.0, 10.0, 0), 4);
@@ -68,7 +68,7 @@ fn option2(quick: bool) -> Vec<f64> {
         .enumerate()
         .map(|(k, pos)| (CellConfig::mhz100(k as u16 + 1, 3_460_000_000, 4), pos))
         .collect();
-    let mut dep = Deployment::multi_cell(cells, 142);
+    let mut dep = Deployment::multi_cell(cells);
     let ru1 = floor_ru_positions(0)[0];
     let static_ue = dep.add_ue(Position::new(ru1.x + 1.0, ru1.y, 0), 4);
     let mobile = dep.add_ue(Position::new(2.0, 10.0, 0), 4);
@@ -82,7 +82,7 @@ fn option2(quick: bool) -> Vec<f64> {
 fn option3(quick: bool) -> Vec<f64> {
     // One 100 MHz DAS cell over all four RUs.
     let cell = CellConfig::mhz100(1, 3_460_000_000, 4);
-    let mut dep = Deployment::das(cell, &floor_ru_positions(0), 143);
+    let mut dep = Deployment::das(cell, &floor_ru_positions(0));
     let ru1 = floor_ru_positions(0)[0];
     let static_ue = dep.add_ue(Position::new(ru1.x + 1.0, ru1.y, 0), 4);
     let mobile = dep.add_ue(Position::new(2.0, 10.0, 0), 4);

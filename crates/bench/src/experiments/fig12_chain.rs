@@ -40,7 +40,7 @@ pub fn run(quick: bool) -> Report {
         ),
     ];
     let rus = floor_ru_positions(0);
-    let mut dep = Deployment::rushare_das_chain(RU_CENTER, RU_PRBS, cells, &rus, 151);
+    let mut dep = Deployment::rushare_das_chain(RU_CENTER, RU_PRBS, cells, &rus);
     let positions = [
         ("near RU1 (7,10)", Position::new(8.0, 10.0, 0)),
         ("floor center (25,10)", Position::new(25.0, 10.0, 0)),

@@ -48,14 +48,14 @@ pub fn run(quick: bool) -> Report {
     .columns(vec!["x (m)", "DAS SISO Mbps", "dMIMO Mbps", "gain"]);
 
     // Vendor A's DAS: SISO cell over the four 1-antenna radios.
-    let mut das = Deployment::das(CellConfig::mhz100(1, CENTER, 1), &rus, 161);
+    let mut das = Deployment::das(CellConfig::mhz100(1, CENTER, 1), &rus);
     let ue = das.add_ue(Position::new(2.0, 10.0, 0), 4);
     das.set_demand(0, ue, 2e9, 1e6);
     let das_rates = measure_at(&mut das, ue, quick);
 
     // Vendor B's dMIMO over the identical radios.
     let sites: Vec<(Position, u8)> = rus.iter().map(|p| (*p, 1)).collect();
-    let mut dm = Deployment::dmimo(CellConfig::mhz100(1, CENTER, 4), &sites, true, 162);
+    let mut dm = Deployment::dmimo(CellConfig::mhz100(1, CENTER, 4), &sites, true);
     let ue = dm.add_ue(Position::new(2.0, 10.0, 0), 4);
     dm.set_demand(0, ue, 2e9, 1e6);
     let dm_rates = measure_at(&mut dm, ue, quick);

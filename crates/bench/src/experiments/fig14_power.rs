@@ -5,23 +5,25 @@
 
 use ranbooster::apps::das::{Das, DasConfig};
 use ranbooster::apps::dmimo::{Dmimo, DmimoConfig, PhysicalRu, SsbBand};
-use ranbooster::core::host::MiddleboxHost;
 use ranbooster::netsim::cost::CostModel;
-use ranbooster::netsim::engine::{port, Engine, NodeId};
 use ranbooster::netsim::power::{Rack, ServerPowerModel};
-use ranbooster::netsim::switch::Switch;
-use ranbooster::netsim::time::{SimDuration, SimTime};
 use ranbooster::radio::cell::CellConfig;
 use ranbooster::radio::channel::Position;
-use ranbooster::radio::du::{Du, DuConfig};
-use ranbooster::radio::medium::{self, Medium, MediumParams, SharedMedium};
-use ranbooster::radio::ru::{Ru, RuConfig};
+use ranbooster::radio::du::DuConfig;
 use ranbooster::scenario::{du_mac, floor_ru_positions, mb_mac, ru_mac, Deployment};
 
 use crate::report::Report;
 
 const CENTER: i64 = 3_460_000_000;
-const FLOORS: usize = 5;
+const FLOORS: u8 = 5;
+const RUS_PER_FLOOR: u8 = 4;
+
+/// Four devices spread over `floor`.
+fn add_floor_ues(dep: &mut Deployment, floor: u8) {
+    for x in [6.0, 18.0, 31.0, 45.0] {
+        dep.add_ue(Position::new(x, 10.0, i32::from(floor)), 4);
+    }
+}
 
 /// Config (a): one dMIMO cell per floor. Floors are radio-isolated, so
 /// each floor simulates independently; returns mean per-floor DL Mbps.
@@ -30,13 +32,10 @@ fn per_floor_dmimo(quick: bool) -> f64 {
     let mut per_floor = Vec::new();
     for floor in 0..if quick { 2 } else { FLOORS } {
         let sites: Vec<(Position, u8)> =
-            floor_ru_positions(floor as i32).into_iter().map(|p| (p, 1)).collect();
-        let cell = CellConfig::mhz100(floor as u16 + 1, CENTER, 4);
-        let mut dep = Deployment::dmimo(cell, &sites, true, 170 + floor as u64);
-        // Four devices spread over the floor.
-        for x in [6.0, 18.0, 31.0, 45.0] {
-            dep.add_ue(Position::new(x, 10.0, floor as i32), 4);
-        }
+            floor_ru_positions(i32::from(floor)).into_iter().map(|p| (p, 1)).collect();
+        let cell = CellConfig::mhz100(u16::from(floor) + 1, CENTER, 4);
+        let mut dep = Deployment::dmimo(cell, &sites, true);
+        add_floor_ues(&mut dep, floor);
         let rates = dep.measure_mbps(a, b);
         per_floor.push(rates.iter().map(|r| r.0).sum::<f64>());
     }
@@ -48,131 +47,56 @@ fn per_floor_dmimo(quick: bool) -> f64 {
 /// single-floor burst DL).
 fn chained_single_cell(quick: bool) -> (f64, f64) {
     let (a, b) = if quick { (350u64, 470u64) } else { (400, 700) };
-    let medium = medium::shared(Medium::new(MediumParams::default(), 177));
-    let mut engine = Engine::new();
-    let switch = engine.add_node(Box::new(Switch::new("bld", 2 + FLOORS * 5)));
-    let mut next = 0usize;
-    let mut attach = |engine: &mut Engine, node: NodeId| {
-        engine.connect(port(switch, next), port(node, 0), SimDuration::from_micros(5), 100.0);
-        next += 1;
-    };
-
     let cell = CellConfig::mhz100(1, CENTER, 4);
-    let du = engine.add_node(Box::new(Du::new(
-        DuConfig::new(cell.clone(), du_mac(0), mb_mac(0)),
-        medium.clone(),
-    )));
-    attach(&mut engine, du);
-    Du::start(&mut engine, du, ranbooster::fronthaul::timing::Numerology::Mu1);
+    let carrier = (cell.center_hz, cell.num_prb);
+    let ssb = SsbBand { start_prb: cell.ssb.start_prb, num_prb: cell.ssb.num_prb };
+    let mut dep = Deployment::new();
+    dep.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
 
     // DAS fans the cell out to one dMIMO middlebox per floor.
-    let dmimo_macs: Vec<_> = (1..=FLOORS as u8).map(mb_mac).collect();
-    let das = Das::new(
-        "das",
-        DasConfig { mb_mac: mb_mac(0), du_mac: du_mac(0), ru_macs: dmimo_macs.clone() },
-    );
-    let das_id =
-        engine.add_node(Box::new(MiddleboxHost::new(das, mb_mac(0), CostModel::dpdk(), 1)));
-    attach(&mut engine, das_id);
+    let dmimo_macs = (1..=FLOORS).map(mb_mac).collect();
+    let das =
+        Das::new("das", DasConfig { mb_mac: mb_mac(0), du_mac: du_mac(0), ru_macs: dmimo_macs });
+    dep.add_mb(das, mb_mac(0), CostModel::dpdk(), 1);
 
-    #[allow(clippy::needless_range_loop)] // floor indexes three parallel structures
     for floor in 0..FLOORS {
-        let rus: Vec<_> = (0..4u8).map(|r| ru_mac(floor as u8 * 4 + r)).collect();
+        let host = mb_mac(floor + 1);
+        let first_ru = floor * RUS_PER_FLOOR;
         let dm = Dmimo::new(
             format!("dmimo-f{floor}"),
             DmimoConfig {
-                mb_mac: dmimo_macs[floor],
+                mb_mac: host,
                 du_mac: mb_mac(0),
-                rus: rus.iter().map(|&mac| PhysicalRu { mac, ports: 1 }).collect(),
+                rus: (first_ru..first_ru + RUS_PER_FLOOR)
+                    .map(|k| PhysicalRu { mac: ru_mac(k), ports: 1 })
+                    .collect(),
                 ssb_copy: true,
-                ssb: Some(SsbBand { start_prb: cell.ssb.start_prb, num_prb: cell.ssb.num_prb }),
+                ssb: Some(ssb),
             },
         );
-        let dm_id = engine.add_node(Box::new(MiddleboxHost::new(
-            dm,
-            dmimo_macs[floor],
-            CostModel::dpdk(),
-            1,
-        )));
-        attach(&mut engine, dm_id);
-        for (r, pos) in floor_ru_positions(floor as i32).into_iter().enumerate() {
-            let ru = engine.add_node(Box::new(Ru::new(
-                RuConfig::new(
-                    rus[r],
-                    dmimo_macs[floor],
-                    CENTER,
-                    273,
-                    1,
-                    pos,
-                    vec![1],
-                    (floor * 4 + r) as u64 + 1,
-                ),
-                medium.clone(),
-            )));
-            attach(&mut engine, ru);
-            Ru::start(
-                &mut engine,
-                ru,
-                ranbooster::fronthaul::timing::Numerology::Mu1,
-                SimDuration::from_micros(150),
-            );
+        dep.add_mb(dm, host, CostModel::dpdk(), 1);
+        for (k, pos) in (first_ru..).zip(floor_ru_positions(i32::from(floor))) {
+            dep.add_ru(k, host, carrier, 1, pos, vec![1]);
         }
     }
 
-    // Twenty devices: four per floor.
-    let mut ues = Vec::new();
-    {
-        let mut m = medium.lock();
-        for floor in 0..FLOORS {
-            for x in [6.0, 18.0, 31.0, 45.0] {
-                ues.push((floor, m.add_ue(Position::new(x, 10.0, floor as i32), 4)));
-            }
-        }
+    // Twenty devices: four per floor, UE ids in floor order.
+    for floor in 0..FLOORS {
+        add_floor_ues(&mut dep, floor);
     }
+    let on_floor_3 = 2 * 4..3 * 4;
 
     // Phase 1: everyone active.
-    engine.run_until(SimTime(a * 1_000_000));
-    let base: Vec<u64> = {
-        let m = medium.lock();
-        ues.iter().map(|&(_, u)| m.ue_stats(u).dl_bits).collect()
-    };
-    engine.run_until(SimTime(b * 1_000_000));
-    let secs = (b - a) as f64 / 1e3;
-    let per_floor_all: f64 = {
-        let m = medium.lock();
-        let total: u64 =
-            ues.iter().enumerate().map(|(k, &(_, u))| m.ue_stats(u).dl_bits - base[k]).sum();
-        total as f64 / secs / 1e6 / FLOORS as f64
-    };
+    let all = dep.measure_mbps(a, b);
+    let per_floor_all = all.iter().map(|r| r.0).sum::<f64>() / f64::from(FLOORS);
 
     // Phase 2: only floor 3's UEs stay active — the burst case.
-    {
-        let du_node = engine.node_as_mut::<Du>(du);
-        for &(floor, u) in &ues {
-            if floor != 2 {
-                du_node.set_demand(u, 0.0, 0.0);
-            }
-        }
+    for ue in (0..all.len()).filter(|ue| !on_floor_3.contains(ue)) {
+        dep.set_demand(0, ue, 0.0, 0.0);
     }
     let b2 = b + if quick { 150 } else { 250 };
     let b3 = b2 + if quick { 120 } else { 250 };
-    engine.run_until(SimTime(b2 * 1_000_000));
-    let base: Vec<u64> = {
-        let m = medium.lock();
-        ues.iter().map(|&(_, u)| m.ue_stats(u).dl_bits).collect()
-    };
-    engine.run_until(SimTime(b3 * 1_000_000));
-    let burst: f64 = {
-        let m = medium.lock();
-        let total: u64 = ues
-            .iter()
-            .enumerate()
-            .filter(|(_, &(floor, _))| floor == 2)
-            .map(|(k, &(_, u))| m.ue_stats(u).dl_bits - base[k])
-            .sum();
-        total as f64 / ((b3 - b2) as f64 / 1e3) / 1e6
-    };
-    let _unused: SharedMedium = medium;
+    let burst = dep.measure_mbps(b2, b3)[on_floor_3].iter().map(|r| r.0).sum();
     (per_floor_all, burst)
 }
 

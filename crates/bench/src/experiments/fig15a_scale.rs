@@ -22,7 +22,7 @@ fn traffic(rus: usize, quick: bool) -> (f64, f64) {
     let positions: Vec<Position> =
         (0..rus).map(|k| Position::new(10.0 + 8.0 * k as f64, 10.0, 0)).collect();
     let cell = CellConfig::mhz100(1, CENTER, 4);
-    let mut dep = Deployment::das(cell, &positions, 180 + rus as u64);
+    let mut dep = Deployment::das(cell, &positions);
     dep.add_ue(Position::new(12.0, 10.0, 0), 4);
     dep.run_ms(a);
     dep.engine.reset_counters();

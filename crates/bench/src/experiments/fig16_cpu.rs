@@ -7,14 +7,16 @@
 //! than dMIMO because its uplink merge runs in userspace behind an
 //! AF_XDP context switch while dMIMO's header remap stays in-kernel.
 
-use ranbooster::apps::das::Das;
-use ranbooster::apps::dmimo::Dmimo;
+use ranbooster::apps::das::{Das, DasConfig};
+use ranbooster::apps::dmimo::{Dmimo, DmimoConfig, PhysicalRu, SsbBand};
 use ranbooster::core::host::MiddleboxHost;
+use ranbooster::core::middlebox::Middlebox;
 use ranbooster::netsim::cost::{CostModel, Datapath};
 use ranbooster::netsim::time::SimTime;
 use ranbooster::radio::cell::CellConfig;
 use ranbooster::radio::channel::Position;
-use ranbooster::scenario::Deployment;
+use ranbooster::radio::du::DuConfig;
+use ranbooster::scenario::{du_mac, mb_mac, ru_mac, Deployment};
 
 use crate::report::{pct, Report};
 
@@ -53,7 +55,7 @@ fn windows(quick: bool) -> (u64, u64) {
 /// middlebox host's mean CPU utilization over the measurement window.
 fn run_condition<M, F>(mut dep: Deployment, cond: Condition, quick: bool, util: F) -> f64
 where
-    M: ranbooster::core::middlebox::Middlebox,
+    M: Middlebox,
     F: Fn(&Deployment, SimTime) -> f64,
 {
     let (a, b) = windows(quick);
@@ -78,26 +80,45 @@ where
     util(&dep, SimTime(b * 1_000_000))
 }
 
-fn das_util(datapath: Datapath, cond: Condition, quick: bool, seed: u64) -> f64 {
+/// One 40 MHz cell whose DU talks to `mb`, hosted on one core charged at
+/// `datapath`'s cost model, in front of two RUs of `ports` antennas each.
+fn deployment<M: Middlebox>(mb: M, datapath: Datapath, ports: u8) -> Deployment {
     let cost = match datapath {
         Datapath::Dpdk => CostModel::dpdk(),
         Datapath::Xdp => CostModel::xdp(),
     };
-    let positions = [Position::new(10.0, 10.0, 0), Position::new(30.0, 10.0, 0)];
-    let dep = Deployment::das_with_cost(cell(), &positions, cost, 1, seed);
-    run_condition::<Das, _>(dep, cond, quick, |dep, now| {
+    let cell = cell();
+    let carrier = (cell.center_hz, cell.num_prb);
+    let mut dep = Deployment::new();
+    dep.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
+    dep.add_mb(mb, mb_mac(0), cost, 1);
+    for (k, x) in [(0, 10.0), (1, 30.0)] {
+        dep.add_ru(k, mb_mac(0), carrier, ports, Position::new(x, 10.0, 0), vec![1]);
+    }
+    dep
+}
+
+fn das_util(datapath: Datapath, cond: Condition, quick: bool) -> f64 {
+    let ru_macs = vec![ru_mac(0), ru_mac(1)];
+    let das = Das::new("das", DasConfig { mb_mac: mb_mac(0), du_mac: du_mac(0), ru_macs });
+    run_condition::<Das, _>(deployment(das, datapath, 4), cond, quick, |dep, now| {
         dep.engine.node_as::<MiddleboxHost<Das>>(dep.mbs[0]).ledger().mean_utilization(now)
     })
 }
 
-fn dmimo_util(datapath: Datapath, cond: Condition, quick: bool, seed: u64) -> f64 {
-    let cost = match datapath {
-        Datapath::Dpdk => CostModel::dpdk(),
-        Datapath::Xdp => CostModel::xdp(),
-    };
-    let sites = [(Position::new(10.0, 10.0, 0), 2u8), (Position::new(30.0, 10.0, 0), 2u8)];
-    let dep = Deployment::dmimo_with_cost(cell(), &sites, true, cost, 1, seed);
-    run_condition::<Dmimo, _>(dep, cond, quick, |dep, now| {
+fn dmimo_util(datapath: Datapath, cond: Condition, quick: bool) -> f64 {
+    let ssb = cell().ssb;
+    let dmimo = Dmimo::new(
+        "dmimo",
+        DmimoConfig {
+            mb_mac: mb_mac(0),
+            du_mac: du_mac(0),
+            rus: [0, 1].map(|k| PhysicalRu { mac: ru_mac(k), ports: 2 }).to_vec(),
+            ssb_copy: true,
+            ssb: Some(SsbBand { start_prb: ssb.start_prb, num_prb: ssb.num_prb }),
+        },
+    );
+    run_condition::<Dmimo, _>(deployment(dmimo, datapath, 2), cond, quick, |dep, now| {
         dep.engine.node_as::<MiddleboxHost<Dmimo>>(dep.mbs[0]).ledger().mean_utilization(now)
     })
 }
@@ -116,16 +137,16 @@ pub fn run(quick: bool) -> Report {
     let mut das_traffic_xdp = 0.0;
     let mut dmimo_traffic_xdp = 0.0;
     for cond in conditions {
-        let dpdk = das_util(Datapath::Dpdk, cond, quick, 191);
-        let xdp = das_util(Datapath::Xdp, cond, quick, 192);
+        let dpdk = das_util(Datapath::Dpdk, cond, quick);
+        let xdp = das_util(Datapath::Xdp, cond, quick);
         if cond == Condition::Traffic {
             das_traffic_xdp = xdp;
         }
         r.row(vec!["DAS".to_string(), cond.label().into(), pct(dpdk), pct(xdp)]);
     }
     for cond in conditions {
-        let dpdk = dmimo_util(Datapath::Dpdk, cond, quick, 193);
-        let xdp = dmimo_util(Datapath::Xdp, cond, quick, 194);
+        let dpdk = dmimo_util(Datapath::Dpdk, cond, quick);
+        let xdp = dmimo_util(Datapath::Xdp, cond, quick);
         if cond == Condition::Traffic {
             dmimo_traffic_xdp = xdp;
         }

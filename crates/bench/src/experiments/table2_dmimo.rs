@@ -24,7 +24,7 @@ fn cell(layers: u8) -> CellConfig {
 
 fn single_ru(layers: u8, quick: bool) -> (f64, f64, u8) {
     let (a, b) = windows(quick);
-    let mut dep = Deployment::single_cell(cell(layers), Position::new(22.0, 10.0, 0), 111);
+    let mut dep = Deployment::single_cell(cell(layers), Position::new(22.0, 10.0, 0));
     let ue = dep.add_ue(Position::new(24.5, 10.0, 0), 4);
     let rates = dep.measure_mbps(a, b);
     (rates[ue].0, rates[ue].1, dep.ue_stats(ue).rank)
@@ -36,7 +36,7 @@ fn dmimo(per_ru_antennas: u8, quick: bool) -> (f64, f64, u8) {
         (Position::new(22.0, 10.0, 0), per_ru_antennas),
         (Position::new(27.0, 10.0, 0), per_ru_antennas),
     ];
-    let mut dep = Deployment::dmimo(cell(2 * per_ru_antennas), &sites, true, 112);
+    let mut dep = Deployment::dmimo(cell(2 * per_ru_antennas), &sites, true);
     let ue = dep.add_ue(Position::new(24.5, 10.0, 0), 4);
     let rates = dep.measure_mbps(a, b);
     (rates[ue].0, rates[ue].1, dep.ue_stats(ue).rank)

@@ -50,12 +50,17 @@ impl<M: Middlebox> MiddleboxHost<M> {
     }
 
     /// Deliver a periodic tick with `tag` to the middlebox every `period`
-    /// (watchdogs, cache purges). The first tick must be kicked off with
-    /// `Engine::schedule_timer(host_id, at, tag)`; the host reschedules
-    /// itself afterwards.
+    /// (watchdogs, cache purges). The host reschedules itself after each
+    /// tick; the first is scheduled from [`Self::periodic_tick`] by whatever
+    /// wires the host onto an engine (`scenario::Deployment::add_host`).
     pub fn with_tick(mut self, period: rb_netsim::time::SimDuration, tag: u64) -> Self {
         self.tick = Some((period, tag));
         self
+    }
+
+    /// The `(period, tag)` given to [`Self::with_tick`], if any.
+    pub fn periodic_tick(&self) -> Option<(rb_netsim::time::SimDuration, u64)> {
+        self.tick
     }
 
     /// The CPU ledger (utilization queries).

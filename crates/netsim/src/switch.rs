@@ -10,7 +10,7 @@ use rb_fronthaul::ether::{EthernetAddress, Frame};
 
 use crate::engine::{Node, NodeEvent, Outbox};
 
-/// A learning Ethernet switch with a fixed number of ports.
+/// A learning Ethernet switch.
 pub struct Switch {
     name: String,
     ports: usize,
@@ -30,6 +30,12 @@ impl Switch {
     /// Number of ports.
     pub fn ports(&self) -> usize {
         self.ports
+    }
+
+    /// Grow the switch by one port and return its index.
+    pub fn add_port(&mut self) -> usize {
+        self.ports += 1;
+        self.ports - 1
     }
 
     /// The port a MAC was learned on, if any.

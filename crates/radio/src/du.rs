@@ -684,7 +684,7 @@ mod tests {
     }
 
     fn run_du_for(ms: u64) -> (Engine, NodeId, NodeId, SharedMedium) {
-        let m = medium::shared(Medium::new(MediumParams::default(), 1));
+        let m = medium::shared(Medium::new(MediumParams::default()));
         let cell = CellConfig::mhz40(1, 3_430_000_000, 4);
         let cfg = DuConfig::new(cell, mac(1), mac(2));
         let mut engine = Engine::new();
@@ -774,7 +774,7 @@ mod tests {
 
     #[test]
     fn partial_load_schedules_partial_prbs() {
-        let m = medium::shared(Medium::new(MediumParams::default(), 1));
+        let m = medium::shared(Medium::new(MediumParams::default()));
         let cell = CellConfig::mhz100(1, 3_460_000_000, 4);
         let mut cfg = DuConfig::new(cell, mac(1), mac(2));
         cfg.dl_demand_bps = 100e6; // ~11 % of capacity

@@ -23,7 +23,8 @@
 //!
 //! Everything the middleboxes see is spec-conformant `rb-fronthaul`
 //! traffic; everything above the fronthaul is semi-analytic and
-//! deterministic (seeded RNG, discrete-event time).
+//! deterministic (discrete-event time; the only random draws are the IQ
+//! templates, seeded from each RU's tag).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

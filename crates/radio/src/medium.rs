@@ -24,8 +24,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use rb_netsim::rng::SplitMix64;
-
 use crate::cell::{CellConfig, Pci};
 use crate::channel::{dbm_to_mw, ChannelParams, Position};
 use crate::mcs;
@@ -226,6 +224,13 @@ pub struct MediumCounters {
     pub dl_credited: u64,
 }
 
+/// Orders SSB sightings by RSRP; equally strong cells (two carriers of one
+/// shared RU) tie-break to the lower PCI, so the pick never depends on hash
+/// order.
+fn by_rsrp_then_pci(a: (&Pci, &(u32, f64)), b: (&Pci, &(u32, f64))) -> std::cmp::Ordering {
+    a.1 .1.partial_cmp(&b.1 .1).expect("finite rsrp").then_with(|| b.0.cmp(a.0))
+}
+
 /// The shared air interface. See the module docs.
 pub struct Medium {
     params: MediumParams,
@@ -235,14 +240,13 @@ pub struct Medium {
     dl_allocs: HashMap<u32, Vec<DlAlloc>>,
     ul_allocs: HashMap<u32, Vec<UlAlloc>>,
     resolved_to: Option<u32>,
-    rng: SplitMix64,
     /// Loss/credit counters.
     pub counters: MediumCounters,
 }
 
 impl Medium {
-    /// A medium with the given parameters and RNG seed.
-    pub fn new(params: MediumParams, seed: u64) -> Medium {
+    /// A medium with the given parameters.
+    pub fn new(params: MediumParams) -> Medium {
         Medium {
             params,
             cells: HashMap::new(),
@@ -251,7 +255,6 @@ impl Medium {
             dl_allocs: HashMap::new(),
             ul_allocs: HashMap::new(),
             resolved_to: None,
-            rng: SplitMix64::new(seed),
             counters: MediumCounters::default(),
         }
     }
@@ -629,7 +632,7 @@ impl Medium {
                         .ssb_heard
                         .iter()
                         .filter(|(p, _)| e.preferred.is_none() || e.preferred == Some(**p))
-                        .max_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).expect("finite rsrp"))
+                        .max_by(|a, b| by_rsrp_then_pci(*a, *b))
                     {
                         e.attach = UeAttach::PrachPending(pci);
                         e.prach_since = slot;
@@ -664,7 +667,7 @@ impl Medium {
                                 .filter(|(_, (_, r))| {
                                     *r > serving_rsrp + params.channel.handover_hysteresis_db
                                 })
-                                .max_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).expect("finite rsrp"))
+                                .max_by(|a, b| by_rsrp_then_pci(*a, *b))
                                 .map(|(p, _)| *p);
                             if let Some(target) = better {
                                 e.attach = UeAttach::PrachPending(target);
@@ -677,11 +680,6 @@ impl Medium {
             }
         }
     }
-
-    /// Deterministic per-call random phase (for UL IQ synthesis).
-    pub fn random_phase(&mut self) -> f64 {
-        self.rng.unit() * std::f64::consts::TAU
-    }
 }
 
 #[cfg(test)]
@@ -692,7 +690,7 @@ mod tests {
     const PRBW: i64 = 360_000;
 
     fn medium_with_cell() -> (Medium, CellConfig) {
-        let mut m = Medium::new(MediumParams::default(), 7);
+        let mut m = Medium::new(MediumParams::default());
         let cell = CellConfig::mhz100(1, CENTER, 4);
         m.register_cell(cell.clone());
         (m, cell)
@@ -811,7 +809,7 @@ mod tests {
 
     #[test]
     fn interference_lowers_sinr_and_clips_credit() {
-        let mut m = Medium::new(MediumParams::default(), 7);
+        let mut m = Medium::new(MediumParams::default());
         let cell_a = CellConfig::mhz100(1, CENTER, 4);
         let cell_b = CellConfig::mhz100(2, CENTER, 4); // co-channel!
         m.register_cell(cell_a.clone());
@@ -925,7 +923,7 @@ mod tests {
 
     #[test]
     fn handover_to_stronger_cell() {
-        let mut m = Medium::new(MediumParams::default(), 7);
+        let mut m = Medium::new(MediumParams::default());
         let cell_a = CellConfig::mhz100(1, CENTER, 4);
         let cell_b = CellConfig::mhz100(2, CENTER + 100_000_000, 4);
         m.register_cell(cell_a.clone());

@@ -484,7 +484,7 @@ mod tests {
     const CENTER: i64 = 3_460_000_000;
 
     fn setup() -> (Engine, NodeId, NodeId, SharedMedium) {
-        let m = medium::shared(Medium::new(MediumParams::default(), 3));
+        let m = medium::shared(Medium::new(MediumParams::default()));
         m.lock().register_cell(CellConfig::mhz100(1, CENTER, 4));
         let cfg =
             RuConfig::new(mac(9), mac(1), CENTER, 273, 4, Position::new(10.0, 10.0, 0), vec![1], 7);

@@ -31,7 +31,7 @@ struct Testbed {
 
 /// One cell, one RU, directly wired through a 2-port switch.
 fn single_cell(cell: CellConfig, ru_ports: u8) -> Testbed {
-    let medium = medium::shared(Medium::new(MediumParams::default(), 11));
+    let medium = medium::shared(Medium::new(MediumParams::default()));
     let mut engine = Engine::new();
     let du_cfg = DuConfig::new(cell.clone(), mac(1), mac(9));
     let du = engine.add_node(Box::new(Du::new(du_cfg, medium.clone())));

@@ -9,14 +9,16 @@
 //! ```
 
 use ranbooster::core::actions;
+use ranbooster::core::host::MiddleboxHost;
 use ranbooster::core::middlebox::{MbContext, Middlebox};
 use ranbooster::fronthaul::dissect::dissect_message;
-use ranbooster::fronthaul::eaxc::EaxcMapping;
 use ranbooster::fronthaul::msg::{Body, FhMessage};
 use ranbooster::fronthaul::Direction;
+use ranbooster::netsim::cost::CostModel;
 use ranbooster::radio::cell::CellConfig;
 use ranbooster::radio::channel::Position;
-use ranbooster::scenario::{du_mac, ru_mac, Deployment};
+use ranbooster::radio::du::DuConfig;
+use ranbooster::scenario::{du_mac, mb_mac, ru_mac, Deployment};
 
 /// A transparent tap: forwards everything, keeps one sample per class.
 struct Tap {
@@ -70,65 +72,21 @@ impl Tap {
 }
 
 fn main() {
-    // Reuse the prbmon deployment shape but with the tap instead: simplest
-    // is to run prbmon (it's already a transparent inline monitor) and
-    // capture via a manual engine… instead, run a single cell with the
-    // Tap registered through the generic middlebox host.
-    use ranbooster::core::host::MiddleboxHost;
-    use ranbooster::netsim::cost::CostModel;
-    use ranbooster::netsim::engine::{port, Engine};
-    use ranbooster::netsim::switch::Switch;
-    use ranbooster::netsim::time::{SimDuration, SimTime};
-    use ranbooster::radio::du::{Du, DuConfig};
-    use ranbooster::radio::medium::{Medium, MediumParams};
-    use ranbooster::radio::ru::{Ru, RuConfig};
-    use ranbooster::scenario::mb_mac;
-
-    let medium = ranbooster::radio::medium::shared(Medium::new(MediumParams::default(), 3));
-    let mut engine = Engine::new();
-    let sw = engine.add_node(Box::new(Switch::new("sw", 3)));
+    // A single cell with the tap inline between its DU and its RU.
     let cell = CellConfig::mhz100(1, 3_460_000_000, 4);
-    let du = engine
-        .add_node(Box::new(Du::new(DuConfig::new(cell, du_mac(0), mb_mac(0)), medium.clone())));
-    let tap = engine.add_node(Box::new(MiddleboxHost::new(
-        Tap { samples: vec![] },
-        mb_mac(0),
-        CostModel::dpdk(),
-        1,
-    )));
-    let ru = engine.add_node(Box::new(Ru::new(
-        RuConfig::new(
-            ru_mac(0),
-            mb_mac(0),
-            3_460_000_000,
-            273,
-            4,
-            Position::new(10.0, 10.0, 0),
-            vec![1],
-            1,
-        ),
-        medium.clone(),
-    )));
-    for (k, n) in [du, tap, ru].iter().enumerate() {
-        engine.connect(port(sw, k), port(*n, 0), SimDuration::from_micros(5), 100.0);
-    }
-    Du::start(&mut engine, du, ranbooster::fronthaul::timing::Numerology::Mu1);
-    Ru::start(
-        &mut engine,
-        ru,
-        ranbooster::fronthaul::timing::Numerology::Mu1,
-        SimDuration::from_micros(150),
-    );
-    medium.lock().add_ue(Position::new(12.0, 10.0, 0), 4);
+    let (carrier, ports, pci) = ((cell.center_hz, cell.num_prb), cell.layers, cell.pci);
+    let mut dep = Deployment::new();
+    dep.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
+    let tap = dep.add_mb(Tap { samples: vec![] }, mb_mac(0), CostModel::dpdk(), 1);
+    dep.add_ru(0, mb_mac(0), carrier, ports, Position::new(10.0, 10.0, 0), vec![pci]);
+    dep.add_ue(Position::new(12.0, 10.0, 0), 4);
 
-    engine.run_until(SimTime(120_000_000));
+    dep.run_ms(120);
 
-    let host = engine.node_as::<MiddleboxHost<Tap>>(tap);
+    let host = dep.engine.node_as::<MiddleboxHost<Tap>>(tap);
     println!("captured {} distinct frame classes:\n", host.middlebox().samples.len());
     for (class, msg) in &host.middlebox().samples {
         println!("════ {class} ════");
         println!("{}", dissect_message(msg, msg.wire_len()));
     }
-    let _ = Deployment::single_cell; // keep scenario linked for docs
-    let _ = EaxcMapping::DEFAULT;
 }

@@ -40,7 +40,7 @@ fn main() {
     println!("shared: 4 × 100 MHz RUs at {:.4} GHz\n", RU_CENTER as f64 / 1e9);
 
     let rus = floor_ru_positions(0);
-    let mut dep = Deployment::rushare_das_chain(RU_CENTER, RU_PRBS, vec![mno_a, mno_b], &rus, 99);
+    let mut dep = Deployment::rushare_das_chain(RU_CENTER, RU_PRBS, vec![mno_a, mno_b], &rus);
 
     // Subscribers roaming the floor — SIMs pin each to its operator.
     let ues = [

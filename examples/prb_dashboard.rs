@@ -16,7 +16,7 @@ use ranbooster::scenario::Deployment;
 
 fn main() {
     let cell = CellConfig::mhz100(1, 3_460_000_000, 4);
-    let mut dep = Deployment::prbmon(cell, Position::new(10.0, 10.0, 0), 4);
+    let mut dep = Deployment::prbmon(cell, Position::new(10.0, 10.0, 0));
     let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
 
     // Subscribe to the middlebox's telemetry feed — this is the §4.4

@@ -7,116 +7,64 @@
 //! cargo run --release --example private_5g_das
 //! ```
 
+use ranbooster::apps::das::{Das, DasConfig};
+use ranbooster::netsim::cost::CostModel;
 use ranbooster::radio::cell::CellConfig;
 use ranbooster::radio::channel::Position;
+use ranbooster::radio::du::DuConfig;
 use ranbooster::radio::medium::UeAttach;
-use ranbooster::scenario::{du_mac, floor_ru_positions, mb_mac, ru_mac};
+use ranbooster::scenario::{du_mac, floor_ru_positions, mb_mac, ru_mac, Deployment};
 
-use ranbooster::apps::das::{Das, DasConfig};
-use ranbooster::core::host::MiddleboxHost;
-use ranbooster::netsim::cost::CostModel;
-use ranbooster::netsim::engine::{port, Engine, NodeId};
-use ranbooster::netsim::switch::Switch;
-use ranbooster::netsim::time::{SimDuration, SimTime};
-use ranbooster::radio::du::{Du, DuConfig};
-use ranbooster::radio::medium::{self, Medium, MediumParams};
-use ranbooster::radio::ru::{Ru, RuConfig};
-
-const FLOORS: i32 = 4;
-const RUS_PER_FLOOR: usize = 4;
+const FLOORS: u8 = 4;
+const RUS_PER_FLOOR: u8 = 4;
 
 fn main() {
-    // Build the whole-building deployment by hand (the scenario builders
-    // cover single configurations; this is the multi-cell composition).
-    let medium = medium::shared(Medium::new(MediumParams::default(), 7));
-    let mut engine = Engine::new();
-    let total_nodes = FLOORS as usize * (2 + RUS_PER_FLOOR);
-    let switch = engine.add_node(Box::new(Switch::new("building", total_nodes)));
-    let mut next_port = 0usize;
-    let mut attach = |engine: &mut Engine, node: NodeId, gbps: f64| {
-        engine.connect(port(switch, next_port), port(node, 0), SimDuration::from_micros(5), gbps);
-        next_port += 1;
-    };
-
-    let mut dus = Vec::new();
+    // One DAS cell per floor, all on one fronthaul switch.
+    let mut dep = Deployment::new();
     for floor in 0..FLOORS {
         // Frequency reuse across floors: same spectrum everywhere —
         // inter-floor isolation comes from the concrete.
-        let pci = floor as u16 + 1;
+        let pci = u16::from(floor) + 1;
         let cell = CellConfig::mhz100(pci, 3_460_000_000, 4);
-        let k = floor as u8;
-        let du_id = engine.add_node(Box::new(Du::new(
-            DuConfig::new(cell.clone(), du_mac(k), mb_mac(k)),
-            medium.clone(),
-        )));
-        attach(&mut engine, du_id, 100.0);
-        Du::start(&mut engine, du_id, ranbooster::fronthaul::timing::Numerology::Mu1);
-        dus.push(du_id);
+        let carrier = (cell.center_hz, cell.num_prb);
+        dep.add_du(DuConfig::new(cell, du_mac(floor), mb_mac(floor)));
 
-        let ru_macs: Vec<_> =
-            (0..RUS_PER_FLOOR).map(|r| ru_mac(k * RUS_PER_FLOOR as u8 + r as u8)).collect();
+        let first_ru = floor * RUS_PER_FLOOR;
         let das = Das::new(
             format!("das-floor{floor}"),
-            DasConfig { mb_mac: mb_mac(k), du_mac: du_mac(k), ru_macs: ru_macs.clone() },
+            DasConfig {
+                mb_mac: mb_mac(floor),
+                du_mac: du_mac(floor),
+                ru_macs: (first_ru..first_ru + RUS_PER_FLOOR).map(ru_mac).collect(),
+            },
         );
-        let mb =
-            engine.add_node(Box::new(MiddleboxHost::new(das, mb_mac(k), CostModel::dpdk(), 1)));
-        attach(&mut engine, mb, 100.0);
-
-        for (r, pos) in floor_ru_positions(floor).into_iter().enumerate() {
-            let ru = engine.add_node(Box::new(Ru::new(
-                RuConfig::new(
-                    ru_macs[r],
-                    mb_mac(k),
-                    3_460_000_000,
-                    273,
-                    4,
-                    pos,
-                    vec![pci],
-                    (floor as u64) * 10 + r as u64 + 1,
-                ),
-                medium.clone(),
-            )));
-            attach(&mut engine, ru, 25.0);
-            Ru::start(
-                &mut engine,
-                ru,
-                ranbooster::fronthaul::timing::Numerology::Mu1,
-                SimDuration::from_micros(150),
-            );
+        dep.add_mb(das, mb_mac(floor), CostModel::dpdk(), 1);
+        for (k, pos) in (first_ru..).zip(floor_ru_positions(i32::from(floor))) {
+            dep.add_ru(k, mb_mac(floor), carrier, 4, pos, vec![pci]);
         }
     }
 
     // Researchers' devices: one UE per floor corner + one mid-floor.
     let mut ues = Vec::new();
-    {
-        let mut m = medium.lock();
-        for floor in 0..FLOORS {
-            ues.push((floor, m.add_ue(Position::new(3.0, 3.0, floor), 4)));
-            ues.push((floor, m.add_ue(Position::new(48.0, 18.0, floor), 4)));
-            ues.push((floor, m.add_ue(Position::new(25.0, 10.0, floor), 4)));
+    for floor in 0..i32::from(FLOORS) {
+        for (x, y) in [(3.0, 3.0), (48.0, 18.0), (25.0, 10.0)] {
+            ues.push((floor, dep.add_ue(Position::new(x, y, floor), 4)));
         }
     }
 
     println!("private 5G: {FLOORS} floors × {RUS_PER_FLOOR} RUs, one DAS cell per floor");
     println!("running 500 ms of simulated time...\n");
-    engine.run_until(SimTime(250_000_000));
-    let base: Vec<_> = {
-        let m = medium.lock();
-        ues.iter().map(|&(_, u)| m.ue_stats(u)).collect()
-    };
-    engine.run_until(SimTime(500_000_000));
+    let rates = dep.measure_mbps(250, 500);
 
     println!("{:<6} {:<18} {:>10} {:>12}", "floor", "position", "attach", "DL Mbps");
-    let m = medium.lock();
-    for (k, &(floor, ue)) in ues.iter().enumerate() {
-        let st = m.ue_stats(ue);
+    let m = dep.medium.lock();
+    for &(floor, ue) in &ues {
         let pos = m.ue_position(ue);
-        let dl = (st.dl_bits - base[k].dl_bits) as f64 / 0.25 / 1e6;
-        let attach = match st.attach {
+        let attach = match m.ue_stats(ue).attach {
             UeAttach::Attached(pci) => format!("cell {pci}"),
             other => format!("{other:?}"),
         };
+        let dl = rates[ue].0;
         println!("{:<6} ({:>4.0},{:>4.0})        {:>10} {:>12.0}", floor, pos.x, pos.y, attach, dl);
     }
     let attached =

@@ -20,7 +20,7 @@ fn main() {
     // to all of them and merges their uplink IQ back into one stream.
     let ru_positions: Vec<Position> =
         (0..3).map(|floor| Position::new(25.0, 10.0, floor)).collect();
-    let mut dep = Deployment::das(cell, &ru_positions, 42);
+    let mut dep = Deployment::das(cell, &ru_positions);
 
     // One UE per floor, near its RU.
     let ues: Vec<_> = (0..3).map(|floor| dep.add_ue(Position::new(27.0, 10.0, floor), 4)).collect();

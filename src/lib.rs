@@ -7,9 +7,9 @@
 //! are evaluated on.
 //!
 //! This facade crate re-exports the workspace members and provides
-//! [`scenario`] — ready-made deployment builders mirroring the paper's
-//! testbed configurations, used by the examples, the integration tests
-//! and the `rb-bench` experiment harnesses.
+//! [`scenario`] — `Deployment`, the one way a simulated testbed is wired,
+//! with presets mirroring the paper's testbed configurations — used by the
+//! examples, the integration tests and the `rb-bench` experiment harnesses.
 //!
 //! ```no_run
 //! use ranbooster::scenario::{Deployment, floor_ru_positions};
@@ -18,7 +18,7 @@
 //!
 //! // A 100 MHz cell distributed over four RUs with a DAS middlebox:
 //! let cell = CellConfig::mhz100(1, 3_460_000_000, 4);
-//! let mut dep = Deployment::das(cell, &floor_ru_positions(0), 42);
+//! let mut dep = Deployment::das(cell, &floor_ru_positions(0));
 //! let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
 //! let rates = dep.measure_mbps(200, 450);
 //! println!("UE {ue}: {:.0} Mbps down / {:.0} Mbps up", rates[ue].0, rates[ue].1);

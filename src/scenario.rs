@@ -1,10 +1,13 @@
-//! Ready-made deployments mirroring the paper's testbed configurations.
+//! Deployments mirroring the paper's testbed configurations.
 //!
-//! Every builder wires emulated DUs, RUs and middlebox hosts onto one
+//! A [`Deployment`] wires emulated DUs, RUs and middlebox hosts onto one
 //! fronthaul switch (the testbed's Arista) over a shared radio
-//! [`rb_radio::medium`], and returns a [`Deployment`] handle for adding
-//! UEs, driving simulated time and measuring per-UE throughput — the
-//! workflow of every §6 experiment.
+//! [`rb_radio::medium`] — [`Deployment::new`] plus `add_du`, `add_ru`,
+//! `add_mb` and `add_host`, which fix the link rates and start each node's
+//! tick — and is the handle for adding UEs, driving simulated time and
+//! measuring per-UE throughput: the workflow of every §6 experiment. The
+//! presets (`single_cell` … `rushare_das_chain`) are short functions over
+//! those five methods.
 //!
 //! Geometry matches the testbed: 50.9 m × 20.9 m floors with four
 //! ceiling-mounted RUs each ([`floor_ru_positions`]).
@@ -60,60 +63,63 @@ const DU_GBPS: f64 = 100.0;
 const MB_GBPS: f64 = 100.0;
 const RU_GBPS: f64 = 25.0;
 
-/// A built deployment: engine + shared medium + node ids.
+/// Every cell here runs at 30 kHz subcarrier spacing.
+const NUMEROLOGY: Numerology = Numerology::Mu1;
+
+/// One simulated testbed: DUs, middlebox hosts and RUs on one fronthaul
+/// switch, over one shared air interface. Wire it with [`Deployment::new`]
+/// and the `add_*` methods, or take one of the presets below.
 pub struct Deployment {
     /// The event engine (drive with [`Deployment::run_ms`]).
     pub engine: Engine,
     /// The shared air interface.
     pub medium: SharedMedium,
-    /// DU node ids, in builder order.
+    /// DU node ids, in the order added.
     pub dus: Vec<NodeId>,
-    /// RU node ids, in builder order.
+    /// RU node ids, in the order added.
     pub rus: Vec<NodeId>,
-    /// Middlebox host node ids, in builder order.
+    /// Middlebox host node ids, in the order added.
     pub mbs: Vec<NodeId>,
     /// The fronthaul switch node id.
     pub switch: NodeId,
-    numerology: Numerology,
 }
 
-/// Incrementally wires nodes onto one switch.
-struct Wiring {
-    engine: Engine,
-    medium: SharedMedium,
-    switch: NodeId,
-    next_port: usize,
-    dus: Vec<NodeId>,
-    rus: Vec<NodeId>,
-    mbs: Vec<NodeId>,
+impl Default for Deployment {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
-impl Wiring {
-    fn new(max_nodes: usize, seed: u64) -> Wiring {
-        let medium = medium::shared(Medium::new(MediumParams::default(), seed));
+impl Deployment {
+    /// An empty testbed: the engine, the air interface and a fronthaul
+    /// switch that grows a port per node added.
+    pub fn new() -> Deployment {
+        let medium = medium::shared(Medium::new(MediumParams::default()));
         let mut engine = Engine::new();
-        let switch = engine.add_node(Box::new(Switch::new("fronthaul-switch", max_nodes)));
-        Wiring { engine, medium, switch, next_port: 0, dus: vec![], rus: vec![], mbs: vec![] }
+        let switch = engine.add_node(Box::new(Switch::new("fronthaul-switch", 0)));
+        Deployment { engine, medium, dus: vec![], rus: vec![], mbs: vec![], switch }
     }
 
+    /// Cable `node`'s port 0 to the next free switch port.
     fn attach(&mut self, node: NodeId, gbps: f64) {
-        let p = self.next_port;
-        self.next_port += 1;
+        let p = self.engine.node_as_mut::<Switch>(self.switch).add_port();
         self.engine.connect(port(self.switch, p), port(node, 0), SWITCH_LATENCY, gbps);
     }
 
-    fn add_du(&mut self, cfg: DuConfig) -> NodeId {
+    /// Add a DU and start its slot tick.
+    pub fn add_du(&mut self, cfg: DuConfig) -> NodeId {
         let du = Du::new(cfg, self.medium.clone());
         let id = self.engine.add_node(Box::new(du));
         self.attach(id, DU_GBPS);
-        Du::start(&mut self.engine, id, Numerology::Mu1);
+        Du::start(&mut self.engine, id, NUMEROLOGY);
         self.dus.push(id);
         id
     }
 
-    /// RU `k` (MAC `ru_mac(k)`) with `ports` antenna ports at `pos`, on the
-    /// carrier (`center_hz`, `num_prb`), serving `pcis` towards `peer`.
-    fn add_ru(
+    /// Add RU `k` (MAC `ru_mac(k)`, tag `k + 1`) with `ports` antenna ports
+    /// at `pos`, on the carrier (`center_hz`, `num_prb`), serving `pcis`
+    /// towards `peer`, and start its slot tick.
+    pub fn add_ru(
         &mut self,
         k: u8,
         peer: EthernetAddress,
@@ -128,21 +134,31 @@ impl Wiring {
         let ru = Ru::new(cfg, self.medium.clone());
         let id = self.engine.add_node(Box::new(ru));
         self.attach(id, RU_GBPS);
-        Ru::start(&mut self.engine, id, Numerology::Mu1, tick);
+        Ru::start(&mut self.engine, id, NUMEROLOGY, tick);
         self.rus.push(id);
         id
     }
 
-    fn add_mb<M: Middlebox>(
+    /// Add `mb` on a host at `mac`, charging `cost` to `cores` cores.
+    pub fn add_mb<M: Middlebox>(
         &mut self,
         mb: M,
-        mb_addr: EthernetAddress,
+        mac: EthernetAddress,
         cost: CostModel,
         cores: usize,
     ) -> NodeId {
-        let host = MiddleboxHost::new(mb, mb_addr, cost, cores);
+        self.add_host(MiddleboxHost::new(mb, mac, cost, cores))
+    }
+
+    /// Add a ready-made host; one built `with_tick` gets its first tick one
+    /// period from now.
+    pub fn add_host<M: Middlebox>(&mut self, host: MiddleboxHost<M>) -> NodeId {
+        let tick = host.periodic_tick();
         let id = self.engine.add_node(Box::new(host));
         self.attach(id, MB_GBPS);
+        if let Some((period, tag)) = tick {
+            self.engine.schedule_timer(id, self.engine.now() + period, tag);
+        }
         self.mbs.push(id);
         id
     }
@@ -161,37 +177,24 @@ impl Wiring {
         let scs = du_cells[0].scs_hz();
         let ports = du_cells.iter().map(|c| c.layers).max().unwrap_or(1);
         let pcis = du_cells.iter().map(|c| c.pci).collect();
-        let dus = du_cells
-            .iter()
-            .enumerate()
-            .map(|(k, c)| SharedDu {
-                mac: du_mac(k as u8),
-                du_id: c.pci,
-                carrier: CarrierSpec { center_hz: c.center_hz, num_prb: c.num_prb, scs_hz: scs },
-            })
-            .collect();
-        for (k, cell) in du_cells.into_iter().enumerate() {
-            self.add_du(DuConfig::new(cell, du_mac(k as u8), mb_mac(0)));
+        let mut dus = Vec::new();
+        for (k, cell) in (0u8..).zip(du_cells) {
+            dus.push(SharedDu {
+                mac: du_mac(k),
+                du_id: cell.pci,
+                carrier: CarrierSpec {
+                    center_hz: cell.center_hz,
+                    num_prb: cell.num_prb,
+                    scs_hz: scs,
+                },
+            });
+            self.add_du(DuConfig::new(cell, du_mac(k), mb_mac(0)));
         }
         let ru = CarrierSpec { center_hz: ru_center_hz, num_prb: ru_num_prb, scs_hz: scs };
         let share = RuShare::new("rushare", RuShareConfig { mb_mac: mb_mac(0), ru_mac, ru, dus });
         (share, ports, pcis)
     }
 
-    fn finish(self) -> Deployment {
-        Deployment {
-            engine: self.engine,
-            medium: self.medium,
-            dus: self.dus,
-            rus: self.rus,
-            mbs: self.mbs,
-            switch: self.switch,
-            numerology: Numerology::Mu1,
-        }
-    }
-}
-
-impl Deployment {
     /// Add a UE at `pos` supporting up to `layers` MIMO layers.
     pub fn add_ue(&mut self, pos: Position, layers: u8) -> UeId {
         self.medium.lock().add_ue(pos, layers)
@@ -253,110 +256,74 @@ impl Deployment {
 
     /// Current absolute slot (for scheduling-log queries).
     pub fn slot_at_ms(&self, ms: u64) -> u32 {
-        rb_radio::timebase::slot_at(self.numerology, SimTime(ms * 1_000_000))
+        rb_radio::timebase::slot_at(NUMEROLOGY, SimTime(ms * 1_000_000))
     }
 
     // ------------------------------------------------------------------
-    // Builders
+    // Presets
     // ------------------------------------------------------------------
 
     /// A single cell wired directly to one RU — the paper's baselines.
-    pub fn single_cell(cell: CellConfig, ru_pos: Position, seed: u64) -> Deployment {
-        let mut w = Wiring::new(2, seed);
-        let (carrier, ports, pci) = ((cell.center_hz, cell.num_prb), cell.layers, cell.pci);
-        w.add_du(DuConfig::new(cell, du_mac(0), ru_mac(0)));
-        w.add_ru(0, du_mac(0), carrier, ports, ru_pos, vec![pci]);
-        w.finish()
+    pub fn single_cell(cell: CellConfig, ru_pos: Position) -> Deployment {
+        Deployment::multi_cell(vec![(cell, ru_pos)])
     }
 
     /// Several independent cells, each on its own RU (Figure 11 options
     /// O1/O2). Cell k uses DU k and RU k.
-    pub fn multi_cell(cells: Vec<(CellConfig, Position)>, seed: u64) -> Deployment {
-        let n = cells.len();
-        let mut w = Wiring::new(2 * n, seed);
-        for (k, (cell, pos)) in cells.into_iter().enumerate() {
-            let k = k as u8;
+    pub fn multi_cell(cells: Vec<(CellConfig, Position)>) -> Deployment {
+        let mut dep = Deployment::new();
+        for (k, (cell, pos)) in (0u8..).zip(cells) {
             let (carrier, ports, pci) = ((cell.center_hz, cell.num_prb), cell.layers, cell.pci);
-            w.add_du(DuConfig::new(cell, du_mac(k), ru_mac(k)));
-            w.add_ru(k, du_mac(k), carrier, ports, pos, vec![pci]);
+            dep.add_du(DuConfig::new(cell, du_mac(k), ru_mac(k)));
+            dep.add_ru(k, du_mac(k), carrier, ports, pos, vec![pci]);
         }
-        w.finish()
+        dep
     }
 
     /// One cell distributed over `ru_positions` through a DAS middlebox
     /// (§6.2.1 / Figure 11 option O3).
-    pub fn das(cell: CellConfig, ru_positions: &[Position], seed: u64) -> Deployment {
-        Deployment::das_with_cost(cell, ru_positions, CostModel::dpdk(), 1, seed)
-    }
-
-    /// DAS with an explicit datapath cost model (Figures 15/16).
-    pub fn das_with_cost(
-        cell: CellConfig,
-        ru_positions: &[Position],
-        cost: CostModel,
-        cores: usize,
-        seed: u64,
-    ) -> Deployment {
-        let n = ru_positions.len();
-        let mut w = Wiring::new(n + 2, seed);
+    pub fn das(cell: CellConfig, ru_positions: &[Position]) -> Deployment {
+        let mut dep = Deployment::new();
         let (carrier, ports, pci) = ((cell.center_hz, cell.num_prb), cell.layers, cell.pci);
-        let ru_macs: Vec<EthernetAddress> = (0..n as u8).map(ru_mac).collect();
+        let ru_macs = (0u8..).zip(ru_positions).map(|(k, _)| ru_mac(k)).collect();
         // The DU believes the middlebox is its RU; RUs believe it is the DU.
-        w.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
+        dep.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
         let das = Das::new("das", DasConfig { mb_mac: mb_mac(0), du_mac: du_mac(0), ru_macs });
-        w.add_mb(das, mb_mac(0), cost, cores);
-        for (k, pos) in ru_positions.iter().enumerate() {
-            w.add_ru(k as u8, mb_mac(0), carrier, ports, *pos, vec![pci]);
+        dep.add_mb(das, mb_mac(0), CostModel::dpdk(), 1);
+        for (k, pos) in (0u8..).zip(ru_positions) {
+            dep.add_ru(k, mb_mac(0), carrier, ports, *pos, vec![pci]);
         }
-        w.finish()
+        dep
     }
 
     /// A virtual RU built from several small radios through the dMIMO
     /// middlebox (§6.2.2). `rus` is (position, antenna ports) per radio;
     /// the cell's `layers` must equal the total.
-    pub fn dmimo(
-        cell: CellConfig,
-        rus: &[(Position, u8)],
-        ssb_copy: bool,
-        seed: u64,
-    ) -> Deployment {
-        Deployment::dmimo_with_cost(cell, rus, ssb_copy, CostModel::dpdk(), 1, seed)
-    }
-
-    /// dMIMO with an explicit datapath cost model (Figure 16).
-    pub fn dmimo_with_cost(
-        cell: CellConfig,
-        rus: &[(Position, u8)],
-        ssb_copy: bool,
-        cost: CostModel,
-        cores: usize,
-        seed: u64,
-    ) -> Deployment {
+    pub fn dmimo(cell: CellConfig, rus: &[(Position, u8)], ssb_copy: bool) -> Deployment {
         let total: u8 = rus.iter().map(|(_, p)| p).sum();
         assert_eq!(cell.layers, total, "cell layers must match aggregate ports");
-        let mut w = Wiring::new(rus.len() + 2, seed);
+        let mut dep = Deployment::new();
         let (carrier, pci) = ((cell.center_hz, cell.num_prb), cell.pci);
         let ssb = SsbBand { start_prb: cell.ssb.start_prb, num_prb: cell.ssb.num_prb };
-        w.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
+        dep.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
         let mb = Dmimo::new(
             "dmimo",
             DmimoConfig {
                 mb_mac: mb_mac(0),
                 du_mac: du_mac(0),
-                rus: rus
-                    .iter()
-                    .enumerate()
-                    .map(|(k, (_, ports))| PhysicalRu { mac: ru_mac(k as u8), ports: *ports })
+                rus: (0u8..)
+                    .zip(rus)
+                    .map(|(k, &(_, ports))| PhysicalRu { mac: ru_mac(k), ports })
                     .collect(),
                 ssb_copy,
                 ssb: Some(ssb),
             },
         );
-        w.add_mb(mb, mb_mac(0), cost, cores);
-        for (k, (pos, ports)) in rus.iter().enumerate() {
-            w.add_ru(k as u8, mb_mac(0), carrier, *ports, *pos, vec![pci]);
+        dep.add_mb(mb, mb_mac(0), CostModel::dpdk(), 1);
+        for (k, &(pos, ports)) in (0u8..).zip(rus) {
+            dep.add_ru(k, mb_mac(0), carrier, ports, pos, vec![pci]);
         }
-        w.finish()
+        dep
     }
 
     /// Several DUs sharing one wide RU through the RU-sharing middlebox
@@ -367,28 +334,27 @@ impl Deployment {
         ru_num_prb: u16,
         du_cells: Vec<CellConfig>,
         ru_pos: Position,
-        seed: u64,
     ) -> Deployment {
-        let mut w = Wiring::new(du_cells.len() + 2, seed);
+        let mut dep = Deployment::new();
         let carrier = (ru_center_hz, ru_num_prb);
-        let (share, ports, pcis) = w.add_shared_dus(carrier, du_cells, ru_mac(0));
-        w.add_mb(share, mb_mac(0), CostModel::dpdk(), 1);
-        w.add_ru(0, mb_mac(0), carrier, ports, ru_pos, pcis);
-        w.finish()
+        let (share, ports, pcis) = dep.add_shared_dus(carrier, du_cells, ru_mac(0));
+        dep.add_mb(share, mb_mac(0), CostModel::dpdk(), 1);
+        dep.add_ru(0, mb_mac(0), carrier, ports, ru_pos, pcis);
+        dep
     }
 
     /// A cell behind an inline PRB monitor (§6.2.4).
-    pub fn prbmon(cell: CellConfig, ru_pos: Position, seed: u64) -> Deployment {
-        let mut w = Wiring::new(3, seed);
+    pub fn prbmon(cell: CellConfig, ru_pos: Position) -> Deployment {
+        let mut dep = Deployment::new();
         let (carrier, ports, pci) = ((cell.center_hz, cell.num_prb), cell.layers, cell.pci);
-        w.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
+        dep.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
         let mon = PrbMon::new(
             "prbmon",
             PrbMonConfig::standard(mb_mac(0), du_mac(0), ru_mac(0), carrier.1),
         );
-        w.add_mb(mon, mb_mac(0), CostModel::dpdk(), 1);
-        w.add_ru(0, mb_mac(0), carrier, ports, ru_pos, vec![pci]);
-        w.finish()
+        dep.add_mb(mon, mb_mac(0), CostModel::dpdk(), 1);
+        dep.add_ru(0, mb_mac(0), carrier, ports, ru_pos, vec![pci]);
+        dep
     }
 
     /// Figure 12: two MNOs' DUs → RU-sharing middlebox → DAS middlebox →
@@ -402,14 +368,13 @@ impl Deployment {
         ru_num_prb: u16,
         du_cells: Vec<CellConfig>,
         ru_positions: &[Position],
-        seed: u64,
     ) -> Deployment {
-        let n_dus = du_cells.len();
-        let mut w = Wiring::new(n_dus + ru_positions.len() + 1, seed);
+        let mut dep = Deployment::new();
         // RU-share's "RU" is the DAS middlebox, DAS's "DU" is RU-share.
         let carrier = (ru_center_hz, ru_num_prb);
-        let (share, ports, pcis) = w.add_shared_dus(carrier, du_cells, mb_mac(1));
-        let ru_macs: Vec<EthernetAddress> = (0..ru_positions.len() as u8).map(ru_mac).collect();
+        let (share, ports, pcis) = dep.add_shared_dus(carrier, du_cells, mb_mac(1));
+        let ru_macs: Vec<EthernetAddress> =
+            (0u8..).zip(ru_positions).map(|(k, _)| ru_mac(k)).collect();
         let das = Das::new(
             "das",
             DasConfig { mb_mac: mb_mac(1), du_mac: mb_mac(0), ru_macs: ru_macs.clone() },
@@ -418,24 +383,27 @@ impl Deployment {
             (Box::new(MiddleboxHost::new(share, mb_mac(0), CostModel::dpdk(), 1)), mb_mac(0)),
             (Box::new(MiddleboxHost::new(das, mb_mac(1), CostModel::dpdk(), 1)), mb_mac(1)),
         ];
-        let chain = build_chain(&mut w.engine, "fig12", ChainSpec::default(), hosts);
-        w.attach(chain.nic, MB_GBPS);
-        w.mbs.extend(chain.members.iter().map(|&(host, _)| host));
+        let chain = build_chain(&mut dep.engine, "fig12", ChainSpec::default(), hosts);
+        dep.attach(chain.nic, MB_GBPS);
+        dep.mbs.extend(chain.members.iter().map(|&(host, _)| host));
         // Everything that is not a VF is on the wire side: nothing floods.
-        let nic = w.engine.node_as_mut::<SriovNic>(chain.nic);
-        for wire_mac in (0..n_dus as u8).map(du_mac).chain(ru_macs.iter().copied()) {
+        let du_macs = (0u8..).zip(&dep.dus).map(|(k, _)| du_mac(k));
+        let nic = dep.engine.node_as_mut::<SriovNic>(chain.nic);
+        for wire_mac in du_macs.chain(ru_macs) {
             nic.learn_static(wire_mac, PHYS_PORT);
         }
-        for (k, pos) in ru_positions.iter().enumerate() {
-            w.add_ru(k as u8, mb_mac(1), carrier, ports, *pos, pcis.clone());
+        for (k, pos) in (0u8..).zip(ru_positions) {
+            dep.add_ru(k, mb_mac(1), carrier, ports, *pos, pcis.clone());
         }
-        w.finish()
+        dep
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rb_core::middlebox::MbContext;
+    use rb_fronthaul::msg::FhMessage;
 
     #[test]
     fn mac_scheme_is_disjoint() {
@@ -455,10 +423,83 @@ mod tests {
         }
     }
 
+    /// Per-UE stats and the fronthaul switch's flood count.
+    fn outcome(dep: &Deployment, ues: usize) -> (Vec<UeStats>, u64) {
+        let stats = (0..ues).map(|ue| dep.ue_stats(ue)).collect();
+        (stats, dep.engine.node_as::<Switch>(dep.switch).floods)
+    }
+
+    #[test]
+    fn the_das_preset_is_the_public_methods_called_in_order() {
+        let cell = CellConfig::mhz100(1, 3_460_000_000, 4);
+        let positions = floor_ru_positions(0);
+        let mut preset = Deployment::das(cell.clone(), &positions);
+
+        let mut by_hand = Deployment::new();
+        by_hand.add_du(DuConfig::new(cell, du_mac(0), mb_mac(0)));
+        let ru_macs = (0..4).map(ru_mac).collect();
+        let das = Das::new("das", DasConfig { mb_mac: mb_mac(0), du_mac: du_mac(0), ru_macs });
+        by_hand.add_mb(das, mb_mac(0), CostModel::dpdk(), 1);
+        for (k, pos) in (0..).zip(positions) {
+            by_hand.add_ru(k, mb_mac(0), (3_460_000_000, 273), 4, pos, vec![1]);
+        }
+
+        for dep in [&mut preset, &mut by_hand] {
+            dep.add_ue(Position::new(12.0, 10.0, 0), 4);
+            dep.add_ue(Position::new(40.0, 10.0, 0), 4);
+            dep.run_ms(120);
+        }
+        let got = outcome(&preset, 2);
+        assert!(got.0.iter().all(|st| st.dl_bits > 0), "both UEs served: {got:?}");
+        assert_eq!(got, outcome(&by_hand, 2));
+    }
+
+    #[test]
+    fn the_fig12_chain_never_floods_its_nic() {
+        use rb_fronthaul::freq::aligned_du_center_hz;
+        let cells = [(1, 0), (2, 160)]
+            .map(|(pci, offset)| {
+                let center = aligned_du_center_hz(3_460_000_000, 273, 106, offset, 30_000);
+                CellConfig::new(pci, center, 106, 4)
+            })
+            .to_vec();
+        let mut dep =
+            Deployment::rushare_das_chain(3_460_000_000, 273, cells, &floor_ru_positions(0));
+        let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
+        dep.run_ms(120);
+        assert!(matches!(dep.ue_stats(ue).attach, rb_radio::medium::UeAttach::Attached(_)));
+        // `build_chain` adds the NIC just before its hosts (a wrong id fails
+        // the downcast).
+        let nic = dep.mbs[0] - 1;
+        assert_eq!(dep.engine.node_as::<SriovNic>(nic).floods, 0);
+    }
+
+    #[test]
+    fn add_host_starts_a_ticking_hosts_tick() {
+        struct CountTicks(u64);
+        impl Middlebox for CountTicks {
+            fn name(&self) -> &str {
+                "count-ticks"
+            }
+            fn on_cplane(&mut self, _: &mut MbContext<'_>, _: FhMessage, _: &mut Vec<FhMessage>) {}
+            fn on_uplane(&mut self, _: &mut MbContext<'_>, _: FhMessage, _: &mut Vec<FhMessage>) {}
+            fn on_tick(&mut self, _: &mut MbContext<'_>, tag: u64, _: &mut Vec<FhMessage>) {
+                self.0 += tag;
+            }
+        }
+        let mut dep = Deployment::new();
+        let host = MiddleboxHost::new(CountTicks(0), mb_mac(0), CostModel::dpdk(), 1)
+            .with_tick(SimDuration::from_millis(1), 1);
+        let id = dep.add_host(host);
+        dep.run_ms(10);
+        let ticks = dep.engine.node_as::<MiddleboxHost<CountTicks>>(id).middlebox().0;
+        assert_eq!(ticks, 10, "one tick per period, the first one period in");
+    }
+
     #[test]
     fn single_cell_builder_runs() {
         let cell = CellConfig::mhz40(1, 3_430_000_000, 4);
-        let mut dep = Deployment::single_cell(cell, Position::new(10.0, 10.0, 0), 1);
+        let mut dep = Deployment::single_cell(cell, Position::new(10.0, 10.0, 0));
         let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
         dep.run_ms(80);
         assert!(matches!(dep.ue_stats(ue).attach, rb_radio::medium::UeAttach::Attached(1)));

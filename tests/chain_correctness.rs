@@ -29,7 +29,7 @@ fn du_cell(pci: u16, prb_offset: u16) -> CellConfig {
 fn figure12_two_mnos_with_seamless_floor_coverage() {
     let cells = vec![du_cell(1, 0), du_cell(2, 160)];
     let rus = floor_ru_positions(0);
-    let mut dep = Deployment::rushare_das_chain(RU_CENTER, RU_PRBS, cells, &rus, 51);
+    let mut dep = Deployment::rushare_das_chain(RU_CENTER, RU_PRBS, cells, &rus);
     // One UE per MNO at opposite ends of the floor.
     let ue_a = dep.add_ue(Position::new(6.0, 10.0, 0), 4);
     let ue_b = dep.add_ue(Position::new(45.0, 10.0, 0), 4);

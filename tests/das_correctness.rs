@@ -20,7 +20,7 @@ fn cell() -> CellConfig {
 
 #[test]
 fn baseline_single_ru_cell() {
-    let mut dep = Deployment::single_cell(cell(), Position::new(25.0, 10.0, 0), 1);
+    let mut dep = Deployment::single_cell(cell(), Position::new(25.0, 10.0, 0));
     let near_a = dep.add_ue(Position::new(22.0, 10.0, 0), 4);
     let near_b = dep.add_ue(Position::new(28.0, 10.0, 0), 4);
     let upstairs = dep.add_ue(Position::new(25.0, 10.0, 3), 4);
@@ -39,7 +39,7 @@ fn baseline_single_ru_cell() {
 fn das_extends_coverage_across_five_floors() {
     // One RU per floor, one UE per floor near its RU.
     let ru_positions: Vec<Position> = (0..5).map(|f| Position::new(25.0, 10.0, f)).collect();
-    let mut dep = Deployment::das(cell(), &ru_positions, 7);
+    let mut dep = Deployment::das(cell(), &ru_positions);
     let ues: Vec<_> = (0..5).map(|f| dep.add_ue(Position::new(27.0, 10.0, f), 4)).collect();
     let rates = dep.measure_mbps(250, 450);
     // All five UEs attach through the replicated SSB + merged PRACH path.
@@ -69,7 +69,7 @@ fn das_individual_ue_gets_full_cell() {
     // One active UE per measurement (the paper's second test type): a
     // single UE on the top floor gets the whole cell's capacity.
     let ru_positions: Vec<Position> = (0..3).map(|f| Position::new(25.0, 10.0, f)).collect();
-    let mut dep = Deployment::das(cell(), &ru_positions, 9);
+    let mut dep = Deployment::das(cell(), &ru_positions);
     let top = dep.add_ue(Position::new(27.0, 10.0, 2), 4);
     let rates = dep.measure_mbps(250, 450);
     assert!((rates[top].0 - 898.0).abs() < 80.0, "dl {}", rates[top].0);

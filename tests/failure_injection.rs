@@ -16,16 +16,16 @@ use ranbooster::scenario::{ru_mac, Deployment};
 
 const CENTER: i64 = 3_460_000_000;
 
-fn das_deployment(seed: u64) -> (Deployment, usize) {
+fn das_deployment() -> (Deployment, usize) {
     let rus: Vec<Position> = (0..3).map(|f| Position::new(25.0, 10.0, f)).collect();
-    let mut dep = Deployment::das(CellConfig::mhz100(1, CENTER, 4), &rus, seed);
+    let mut dep = Deployment::das(CellConfig::mhz100(1, CENTER, 4), &rus);
     let ue = dep.add_ue(Position::new(27.0, 10.0, 1), 4);
     (dep, ue)
 }
 
 #[test]
 fn dropping_uplink_stalls_merges_but_not_downlink() {
-    let (mut dep, ue) = das_deployment(61);
+    let (mut dep, ue) = das_deployment();
     // Healthy warm-up.
     dep.run_ms(250);
     assert_eq!(dep.ue_stats(ue).attach, UeAttach::Attached(1));
@@ -60,7 +60,7 @@ fn dropping_one_ru_uplink_starves_the_das_merge() {
     // from the two RUs that did report and counted as partial, so the
     // cell's uplink keeps flowing. Wait-forever is
     // `das::tests::zero_window_restores_wait_forever`.
-    let (mut dep, ue) = das_deployment(62);
+    let (mut dep, ue) = das_deployment();
     dep.run_ms(250);
     assert_eq!(dep.ue_stats(ue).attach, UeAttach::Attached(1));
     let das_stats =
@@ -93,7 +93,7 @@ fn steering_fault_redirects_downlink_into_the_void() {
     // Rewrite the DL destination to a nonexistent MAC: frames flood the
     // switch, every VF filter rejects them, throughput collapses, and the
     // medium's unradiated counter exposes the loss.
-    let (mut dep, ue) = das_deployment(63);
+    let (mut dep, ue) = das_deployment();
     dep.run_ms(250);
     {
         let host = dep.engine.node_as_mut::<MiddleboxHost<Das>>(dep.mbs[0]);
@@ -115,7 +115,7 @@ fn steering_fault_redirects_downlink_into_the_void() {
 fn recovery_after_rule_removal() {
     // Fault, then clear the rule table: service must come back without
     // restarting anything (the on-the-fly reconfiguration story).
-    let (mut dep, ue) = das_deployment(64);
+    let (mut dep, ue) = das_deployment();
     dep.run_ms(250);
     let rules = {
         let host = dep.engine.node_as_mut::<MiddleboxHost<Das>>(dep.mbs[0]);

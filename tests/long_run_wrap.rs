@@ -11,7 +11,7 @@ use ranbooster::scenario::Deployment;
 #[test]
 fn das_survives_the_frame_counter_wrap() {
     let rus = vec![Position::new(20.0, 10.0, 0), Position::new(30.0, 10.0, 0)];
-    let mut dep = Deployment::das(CellConfig::mhz40(1, 3_430_000_000, 4), &rus, 77);
+    let mut dep = Deployment::das(CellConfig::mhz40(1, 3_430_000_000, 4), &rus);
     let ue = dep.add_ue(Position::new(22.0, 10.0, 0), 4);
 
     // Window A well before the wrap, window B straddling 2.56 s,

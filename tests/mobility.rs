@@ -51,7 +51,7 @@ fn multi_cell_walk_hands_over_and_keeps_service() {
             (CellConfig::mhz25(k as u16 + 1, 3_430_000_000 + k as i64 * 25_000_000, 4), pos)
         })
         .collect();
-    let mut dep = Deployment::multi_cell(cells, 95);
+    let mut dep = Deployment::multi_cell(cells);
     let ue = dep.add_ue(Position::new(4.0, 10.0, 0), 4);
     for du in 0..4 {
         dep.set_demand(du, ue, 150e6, 2e6);
@@ -69,7 +69,7 @@ fn multi_cell_walk_hands_over_and_keeps_service() {
 #[test]
 fn das_walk_is_handover_free() {
     let cell = CellConfig::mhz100(1, 3_460_000_000, 4);
-    let mut dep = Deployment::das(cell, &floor_ru_positions(0), 96);
+    let mut dep = Deployment::das(cell, &floor_ru_positions(0));
     let ue = dep.add_ue(Position::new(4.0, 10.0, 0), 4);
     dep.set_demand(0, ue, 150e6, 2e6);
     let rates = walk(&mut dep, ue);

@@ -15,9 +15,9 @@ use ranbooster::scenario::Deployment;
 const CENTER: i64 = 3_460_000_000;
 
 /// Run one load level; return (estimate, ground truth) DL utilization.
-fn run_level(dl_mbps: f64, seed: u64) -> (f64, f64) {
+fn run_level(dl_mbps: f64) -> (f64, f64) {
     let cell = CellConfig::mhz100(1, CENTER, 4);
-    let mut dep = Deployment::prbmon(cell, Position::new(10.0, 10.0, 0), seed);
+    let mut dep = Deployment::prbmon(cell, Position::new(10.0, 10.0, 0));
     let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
     dep.set_demand(0, ue, dl_mbps * 1e6, 5e6);
     dep.run_ms(200); // attach and settle
@@ -34,8 +34,8 @@ fn run_level(dl_mbps: f64, seed: u64) -> (f64, f64) {
 fn estimates_track_ground_truth_across_loads() {
     // The Figure 10c sweep shape: 0 → 700 Mbps offered load.
     let mut rows = Vec::new();
-    for (k, load) in [0.0, 100.0, 300.0, 700.0].into_iter().enumerate() {
-        let (est, truth) = run_level(load, 30 + k as u64);
+    for load in [0.0, 100.0, 300.0, 700.0] {
+        let (est, truth) = run_level(load);
         rows.push((load, est, truth));
     }
     for (load, est, truth) in &rows {
@@ -56,7 +56,7 @@ fn estimates_track_ground_truth_across_loads() {
 #[test]
 fn uplink_utilization_is_estimated_too() {
     let cell = CellConfig::mhz100(1, CENTER, 4);
-    let mut dep = Deployment::prbmon(cell, Position::new(10.0, 10.0, 0), 44);
+    let mut dep = Deployment::prbmon(cell, Position::new(10.0, 10.0, 0));
     let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
     dep.set_demand(0, ue, 10e6, 60e6); // UL-heavy
     dep.run_ms(500);
@@ -72,7 +72,7 @@ fn uplink_utilization_is_estimated_too() {
 fn monitor_is_transparent_to_throughput() {
     // The monitored cell performs like an unmonitored one.
     let cell = CellConfig::mhz100(1, CENTER, 4);
-    let mut dep = Deployment::prbmon(cell, Position::new(10.0, 10.0, 0), 45);
+    let mut dep = Deployment::prbmon(cell, Position::new(10.0, 10.0, 0));
     let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
     let rates = dep.measure_mbps(200, 400);
     assert!((rates[ue].0 - 898.0).abs() < 70.0, "dl {}", rates[ue].0);

@@ -6,49 +6,28 @@
 
 use ranbooster::apps::resilience::{ActiveDu, Resilience, ResilienceConfig, WATCHDOG_TICK};
 use ranbooster::core::host::MiddleboxHost;
-use ranbooster::fronthaul::timing::Numerology;
 use ranbooster::netsim::cost::CostModel;
-use ranbooster::netsim::engine::{port, Engine};
-use ranbooster::netsim::switch::Switch;
 use ranbooster::netsim::time::{SimDuration, SimTime};
 use ranbooster::radio::cell::CellConfig;
 use ranbooster::radio::channel::Position;
 use ranbooster::radio::du::{Du, DuConfig};
-use ranbooster::radio::medium::{self, Medium, MediumParams, UeAttach};
-use ranbooster::radio::ru::{Ru, RuConfig};
-use ranbooster::scenario::{du_mac, mb_mac, ru_mac};
+use ranbooster::radio::medium::UeAttach;
+use ranbooster::scenario::{du_mac, mb_mac, ru_mac, Deployment};
 
 const CENTER: i64 = 3_460_000_000;
 
 #[test]
 fn standby_du_takes_over_after_primary_failure() {
-    let medium = medium::shared(Medium::new(MediumParams::default(), 81));
-    let mut engine = Engine::new();
-    let sw = engine.add_node(Box::new(Switch::new("sw", 4)));
-    let mut next = 0usize;
-    let mut attach = |engine: &mut Engine, node: usize, gbps: f64| {
-        engine.connect(port(sw, next), port(node, 0), SimDuration::from_micros(5), gbps);
-        next += 1;
-    };
+    let mut dep = Deployment::new();
 
     // Primary cell 1 and standby cell 2 share the spectrum; the RU serves
     // whichever the middlebox lets through.
-    let primary = engine.add_node(Box::new(Du::new(
-        DuConfig::new(CellConfig::mhz100(1, CENTER, 4), du_mac(0), mb_mac(0)),
-        medium.clone(),
-    )));
-    attach(&mut engine, primary, 100.0);
-    Du::start(&mut engine, primary, Numerology::Mu1);
+    let primary = dep.add_du(DuConfig::new(CellConfig::mhz100(1, CENTER, 4), du_mac(0), mb_mac(0)));
     // The standby cell shares the carrier but places its SSB at a
     // different GSCN (PRB offset) so UEs can tell the two cells apart.
     let mut standby_cell = CellConfig::mhz100(2, CENTER, 4);
     standby_cell.ssb.start_prb += 40;
-    let standby = engine.add_node(Box::new(Du::new(
-        DuConfig::new(standby_cell, du_mac(1), mb_mac(0)),
-        medium.clone(),
-    )));
-    attach(&mut engine, standby, 100.0);
-    Du::start(&mut engine, standby, Numerology::Mu1);
+    dep.add_du(DuConfig::new(standby_cell, du_mac(1), mb_mac(0)));
 
     let resil = Resilience::new(
         "resil",
@@ -65,27 +44,12 @@ fn standby_du_takes_over_after_primary_failure() {
     );
     let host = MiddleboxHost::new(resil, mb_mac(0), CostModel::dpdk(), 1)
         .with_tick(SimDuration::from_millis(1), WATCHDOG_TICK);
-    let mb = engine.add_node(Box::new(host));
-    attach(&mut engine, mb, 100.0);
-    engine.schedule_timer(mb, SimTime(1_000_000), WATCHDOG_TICK);
+    let mb = dep.add_host(host);
 
-    let ru = engine.add_node(Box::new(Ru::new(
-        RuConfig::new(
-            ru_mac(0),
-            mb_mac(0),
-            CENTER,
-            273,
-            4,
-            Position::new(10.0, 10.0, 0),
-            vec![1, 2],
-            1,
-        ),
-        medium.clone(),
-    )));
-    attach(&mut engine, ru, 25.0);
-    Ru::start(&mut engine, ru, Numerology::Mu1, SimDuration::from_micros(150));
-
-    let ue = medium.lock().add_ue(Position::new(12.0, 10.0, 0), 4);
+    dep.add_ru(0, mb_mac(0), (CENTER, 273), 4, Position::new(10.0, 10.0, 0), vec![1, 2]);
+    let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
+    // The phases below drive the engine and read the medium directly.
+    let Deployment { mut engine, medium, .. } = dep;
 
     // Healthy phase: UE attaches to the primary's cell and gets traffic.
     engine.run_until(SimTime(250_000_000));

@@ -27,7 +27,7 @@ fn du_cell(pci: u16, prb_offset: u16) -> CellConfig {
 #[test]
 fn baseline_dedicated_40mhz() {
     let cell = CellConfig::mhz40(1, 3_430_000_000, 4);
-    let mut dep = Deployment::single_cell(cell, Position::new(10.0, 10.0, 0), 21);
+    let mut dep = Deployment::single_cell(cell, Position::new(10.0, 10.0, 0));
     let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
     let rates = dep.measure_mbps(200, 400);
     assert!((rates[ue].0 - 330.0).abs() < 40.0, "dl {}", rates[ue].0);
@@ -38,7 +38,7 @@ fn baseline_dedicated_40mhz() {
 fn two_cells_sharing_one_ru_match_dedicated() {
     // Two 40 MHz DUs at aligned offsets 0 and 160 inside the 100 MHz RU.
     let cells = vec![du_cell(1, 0), du_cell(2, 160)];
-    let mut dep = Deployment::rushare(RU_CENTER, RU_PRBS, cells, Position::new(10.0, 10.0, 0), 22);
+    let mut dep = Deployment::rushare(RU_CENTER, RU_PRBS, cells, Position::new(10.0, 10.0, 0));
     // One UE per MNO — "we force the association of one UE to each cell
     // based on the physical cell id" (§6.2.3).
     let ue_a = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
@@ -84,7 +84,7 @@ fn misaligned_sharing_still_works_via_recompression() {
     let mut cell_b = du_cell(2, 120);
     cell_b.center_hz += 6 * SCS as i64;
     let cells = vec![du_cell(1, 0), cell_b];
-    let mut dep = Deployment::rushare(RU_CENTER, RU_PRBS, cells, Position::new(10.0, 10.0, 0), 23);
+    let mut dep = Deployment::rushare(RU_CENTER, RU_PRBS, cells, Position::new(10.0, 10.0, 0));
     let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
     dep.force_cell(ue, 2); // the misaligned cell
     let rates = dep.measure_mbps(300, 500);
@@ -105,7 +105,7 @@ fn three_dus_share_one_wide_ru() {
         CellConfig::new(pci, center, 65, 4)
     };
     let cells = vec![mk(1, 0), mk(2, 100), mk(3, 200)];
-    let mut dep = Deployment::rushare(RU_CENTER, RU_PRBS, cells, Position::new(10.0, 10.0, 0), 24);
+    let mut dep = Deployment::rushare(RU_CENTER, RU_PRBS, cells, Position::new(10.0, 10.0, 0));
     let ues: Vec<_> = (0..3)
         .map(|k| {
             let ue = dep.add_ue(Position::new(9.0 + k as f64, 10.0, 0), 4);

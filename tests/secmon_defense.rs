@@ -8,38 +8,24 @@ use ranbooster::fronthaul::bfp::CompressionMethod;
 use ranbooster::fronthaul::cplane::{CPlaneRepr, SectionFields};
 use ranbooster::fronthaul::eaxc::{Eaxc, EaxcMapping};
 use ranbooster::fronthaul::msg::{Body, FhMessage};
-use ranbooster::fronthaul::timing::{Numerology, SymbolId};
+use ranbooster::fronthaul::timing::SymbolId;
 use ranbooster::fronthaul::Direction;
 use ranbooster::netsim::cost::CostModel;
-use ranbooster::netsim::engine::{port, Engine};
-use ranbooster::netsim::switch::Switch;
-use ranbooster::netsim::time::{SimDuration, SimTime};
+use ranbooster::netsim::engine::port;
+use ranbooster::netsim::time::SimTime;
 use ranbooster::radio::cell::CellConfig;
 use ranbooster::radio::channel::Position;
-use ranbooster::radio::du::{Du, DuConfig};
-use ranbooster::radio::medium::{self, Medium, MediumParams, UeAttach};
-use ranbooster::radio::ru::{Ru, RuConfig};
-use ranbooster::scenario::{du_mac, mac, mb_mac, ru_mac};
+use ranbooster::radio::du::DuConfig;
+use ranbooster::radio::medium::UeAttach;
+use ranbooster::radio::ru::Ru;
+use ranbooster::scenario::{du_mac, mac, mb_mac, ru_mac, Deployment};
 
 const CENTER: i64 = 3_460_000_000;
 
 #[test]
 fn spoofed_frames_are_dropped_and_service_is_unaffected() {
-    let medium = medium::shared(Medium::new(MediumParams::default(), 91));
-    let mut engine = Engine::new();
-    let sw = engine.add_node(Box::new(Switch::new("sw", 3)));
-    let mut next = 0usize;
-    let mut attach = |engine: &mut Engine, node: usize, gbps: f64| {
-        engine.connect(port(sw, next), port(node, 0), SimDuration::from_micros(5), gbps);
-        next += 1;
-    };
-
-    let du = engine.add_node(Box::new(Du::new(
-        DuConfig::new(CellConfig::mhz100(1, CENTER, 4), du_mac(0), mb_mac(0)),
-        medium.clone(),
-    )));
-    attach(&mut engine, du, 100.0);
-    Du::start(&mut engine, du, Numerology::Mu1);
+    let mut dep = Deployment::new();
+    dep.add_du(DuConfig::new(CellConfig::mhz100(1, CENTER, 4), du_mac(0), mb_mac(0)));
 
     let sec = SecMon::new(
         "sec",
@@ -52,26 +38,12 @@ fn spoofed_frames_are_dropped_and_service_is_unaffected() {
             carrier_prbs: 273,
         },
     );
-    let mb = engine.add_node(Box::new(MiddleboxHost::new(sec, mb_mac(0), CostModel::dpdk(), 1)));
-    attach(&mut engine, mb, 100.0);
+    let mb = dep.add_mb(sec, mb_mac(0), CostModel::dpdk(), 1);
 
-    let ru = engine.add_node(Box::new(Ru::new(
-        RuConfig::new(
-            ru_mac(0),
-            mb_mac(0),
-            CENTER,
-            273,
-            4,
-            Position::new(10.0, 10.0, 0),
-            vec![1],
-            1,
-        ),
-        medium.clone(),
-    )));
-    attach(&mut engine, ru, 25.0);
-    Ru::start(&mut engine, ru, Numerology::Mu1, SimDuration::from_micros(150));
-
-    let ue = medium.lock().add_ue(Position::new(12.0, 10.0, 0), 4);
+    let ru = dep.add_ru(0, mb_mac(0), (CENTER, 273), 4, Position::new(10.0, 10.0, 0), vec![1]);
+    let ue = dep.add_ue(Position::new(12.0, 10.0, 0), 4);
+    // The phases below drive the engine and read the medium directly.
+    let Deployment { mut engine, medium, .. } = dep;
 
     // Attack traffic, injected straight at the middlebox every 2 ms:
     // 1) a C-plane flood from an unknown source (resource exhaustion);
