@@ -19,8 +19,8 @@ use rb_core::actions;
 use rb_core::middlebox::{MbContext, Middlebox};
 use rb_core::telemetry::counters;
 use rb_fronthaul::ether::EthernetAddress;
-use rb_fronthaul::msg::FhMessage;
-use rb_fronthaul::uplane::USection;
+use rb_fronthaul::msg::{Body, FhMessage};
+use rb_fronthaul::uplane::{UPlaneRepr, USection};
 use rb_netsim::cost::{Work, XdpPlacement};
 
 /// One physical radio in the virtual RU.
@@ -129,11 +129,8 @@ impl Dmimo {
     }
 
     /// Extract SSB-band sections from a U-plane message, if any.
-    fn ssb_sections(&self, msg: &FhMessage) -> Vec<USection> {
+    fn ssb_sections(&self, up: &UPlaneRepr) -> Vec<USection> {
         let Some(band) = self.cfg.ssb else {
-            return Vec::new();
-        };
-        let Some(up) = msg.as_uplane() else {
             return Vec::new();
         };
         up.sections
@@ -157,19 +154,24 @@ impl Dmimo {
 
         // SSB copy: clone SSB sections from virtual port 0 towards every
         // *other* radio's local port 0.
-        if self.cfg.ssb_copy && virtual_port == 0 {
-            let ssb = self.ssb_sections(&msg);
+        let ssb_source =
+            if self.cfg.ssb_copy && virtual_port == 0 { msg.as_uplane() } else { None };
+        if let Some(header) = ssb_source {
+            let ssb = self.ssb_sections(header);
             if let Some(first) = ssb.first() {
                 let ssb_prbs = usize::from(first.num_prb());
                 for (k, ru) in self.cfg.rus.iter().enumerate() {
                     if k == ru_idx {
                         continue;
                     }
-                    let mut copy = msg.clone();
-                    copy.eaxc = copy.eaxc.with_ru_port(0);
-                    if let Some(up) = copy.as_uplane_mut() {
-                        up.sections = ssb.clone();
-                    }
+                    // Header fields plus the shared SSB sections: the
+                    // carrier's other sections are never copied.
+                    let mut copy = FhMessage {
+                        eth: msg.eth,
+                        eaxc: msg.eaxc.with_ru_port(0),
+                        seq_id: msg.seq_id,
+                        body: Body::UPlane(UPlaneRepr { sections: ssb.clone(), ..*header }),
+                    };
                     actions::redirect(&mut copy, self.cfg.mb_mac, ru.mac);
                     counters::bump(&mut self.stats.ssb_copies);
                     actions::emit(out, copy);
@@ -232,9 +234,7 @@ mod tests {
     use rb_fronthaul::cplane::{CPlaneRepr, SectionFields};
     use rb_fronthaul::eaxc::{Eaxc, EaxcMapping};
     use rb_fronthaul::iq::Prb;
-    use rb_fronthaul::msg::Body;
     use rb_fronthaul::timing::SymbolId;
-    use rb_fronthaul::uplane::UPlaneRepr;
     use rb_fronthaul::Direction;
     use rb_netsim::time::SimTime;
 
@@ -353,6 +353,10 @@ mod tests {
         assert_eq!(copy.eaxc.ru_port, 0);
         assert_eq!(copy.as_uplane().unwrap().sections[0].start_prb, 126);
         assert_eq!(mb.stats.ssb_copies, 1);
+        // The copy carries the original's SSB payload itself, not a copy.
+        let original = out.iter().find(|m| m.eth.dst == mac(21)).expect("original to RU1");
+        let payload = |m: &FhMessage| m.as_uplane().unwrap().sections[0].payload.clone();
+        assert!(payload(copy).ptr_eq(&payload(original)));
         // Non-SSB port-0 traffic is not cloned.
         let out = mb.handle(&mut ctx(&mut cache, &tel), dl_uplane(0, 0, 50));
         assert_eq!(out.len(), 1);

@@ -37,7 +37,7 @@ use rb_fronthaul::freq;
 use rb_fronthaul::iq::{IqSample, Prb, SAMPLES_PER_PRB};
 use rb_fronthaul::msg::{Body, FhMessage};
 use rb_fronthaul::timing::{SymbolId, SYMBOLS_PER_SLOT};
-use rb_fronthaul::uplane::{UPlaneRepr, USection};
+use rb_fronthaul::uplane::{Payload, UPlaneRepr, USection};
 use rb_fronthaul::Direction;
 use rb_netsim::cost::{Work, XdpPlacement};
 
@@ -163,7 +163,7 @@ pub struct RuShare {
     /// (slot-start symbol, port) → PRACH demux directory by du_id.
     prach_orig: HashMap<(SymbolId, u8), HashMap<u16, PrachOrig>>,
     /// Lazily built all-zero RU-grid section payloads per method.
-    zero_payload: HashMap<u8, Vec<u8>>,
+    zero_payload: HashMap<u8, Payload>,
     /// Highest absolute symbol observed, for state-horizon purging.
     horizon: u64,
     /// Counters.
@@ -280,14 +280,12 @@ impl RuShare {
             .zero_payload
             .entry(key)
             .or_insert_with(|| {
-                let mut buf = vec![0u8; method.prb_wire_bytes()];
-                // On failure the buffer stays zeroed, which is itself a
-                // valid all-zero PRB in every supported method.
-                let _ = rb_fronthaul::bfp::compress_prb_wire(&Prb::ZERO, method, &mut buf);
-                let mut payload =
-                    Vec::with_capacity(buf.len().saturating_mul(usize::from(num_prb)));
-                for _ in 0..num_prb {
-                    payload.extend_from_slice(&buf);
+                let per = method.prb_wire_bytes();
+                let mut payload = Payload::zeroed(per.saturating_mul(usize::from(num_prb)));
+                for prb in payload.chunks_exact_mut(per.max(1)) {
+                    // On failure the PRB stays zeroed, which is itself a
+                    // valid all-zero PRB in every supported method.
+                    let _ = rb_fronthaul::bfp::compress_prb_wire(&Prb::ZERO, method, prb);
                 }
                 payload
             })
@@ -745,17 +743,16 @@ impl RuShare {
             if ru_start >= s.start_prb
                 && u32::from(ru_start).saturating_add(u32::from(num)) <= s_end
             {
-                let mut dst = USection {
-                    section_id,
-                    rb: false,
-                    sym_inc: false,
-                    start_prb: du_start,
-                    method: s.method,
-                    payload: vec![0u8; usize::from(num).saturating_mul(s.method.prb_wire_bytes())],
-                };
-                if dst.copy_prbs_from(s, ru_start.saturating_sub(s.start_prb), 0, num).is_ok() {
+                if let Ok(bytes) = s.prb_range_bytes(ru_start.saturating_sub(s.start_prb), num) {
                     counters::bump(&mut self.stats.aligned_copies);
-                    return Some(dst);
+                    return Some(USection {
+                        section_id,
+                        rb: false,
+                        sym_inc: false,
+                        start_prb: du_start,
+                        method: s.method,
+                        payload: Payload::from(bytes),
+                    });
                 }
             }
         }

@@ -567,7 +567,7 @@ proptest! {
             sym_inc: false,
             start_prb: 0,
             method,
-            payload,
+            payload: payload.as_slice().into(),
         };
         let msg = FhMessage::new(
             mac(1),

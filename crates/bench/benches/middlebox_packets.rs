@@ -16,6 +16,7 @@ use rb_apps::prbmon::{Estimator, PrbMon, PrbMonConfig};
 use rb_apps::rushare::{CarrierSpec, RuShare, RuShareConfig, SharedDu};
 use rb_core::cache::SymbolCache;
 use rb_core::middlebox::{MbContext, Middlebox};
+use rb_core::pipeline::MbPipeline;
 use rb_core::telemetry::TelemetrySender;
 use rb_fronthaul::bfp::CompressionMethod;
 use rb_fronthaul::cplane::{CPlaneRepr, SectionFields};
@@ -71,18 +72,16 @@ fn with_ctx<R>(cache: &mut SymbolCache, f: impl FnOnce(&mut MbContext<'_>) -> R)
     f(&mut ctx)
 }
 
+fn das(rus: u8) -> Das {
+    let ru_macs = (0..rus).map(|k| mac(20 + k)).collect();
+    Das::new("das", DasConfig { mb_mac: mac(10), du_mac: mac(1), ru_macs })
+}
+
 /// Figure 15b by machine measurement: the DAS handler per packet class.
 fn bench_das(c: &mut Criterion) {
     let mut g = c.benchmark_group("das");
     g.bench_function("dl_uplane_replicate_x4", |b| {
-        let mut das = Das::new(
-            "das",
-            DasConfig {
-                mb_mac: mac(10),
-                du_mac: mac(1),
-                ru_macs: (0..4).map(|k| mac(20 + k)).collect(),
-            },
-        );
+        let mut das = das(4);
         let mut cache = SymbolCache::new(1024);
         let msg = uplane_msg(mac(1), Direction::Downlink, SymbolId::ZERO, 273, 0);
         b.iter(|| {
@@ -91,14 +90,7 @@ fn bench_das(c: &mut Criterion) {
     });
     for rus in [2usize, 4] {
         g.bench_with_input(BenchmarkId::new("ul_merge_273prb", rus), &rus, |b, &rus| {
-            let mut das = Das::new(
-                "das",
-                DasConfig {
-                    mb_mac: mac(10),
-                    du_mac: mac(1),
-                    ru_macs: (0..rus as u8).map(|k| mac(20 + k)).collect(),
-                },
-            );
+            let mut das = das(rus as u8);
             let mut cache = SymbolCache::new(1024);
             // Pre-built packets: the merge drains the cache each cycle, so
             // the same symbol can be replayed. Measures one full cycle:
@@ -114,6 +106,21 @@ fn bench_das(c: &mut Criterion) {
         });
     }
     g.finish();
+    // The same fan-out through the whole packet path (parse, handler,
+    // rules, restamp, serialize), where sharing the payload pays twice: the
+    // clones copy nothing, and three of the four emits rewrite ~22 header
+    // bytes over the first one's frame.
+    c.bench_function("pipeline/das_dl_process_x4_273prb", |b| {
+        let mut p = MbPipeline::new(das(4), mac(10));
+        let wire = uplane_msg(mac(1), Direction::Downlink, SymbolId::ZERO, 273, 0)
+            .to_bytes(&EaxcMapping::DEFAULT)
+            .unwrap();
+        b.iter(|| {
+            p.process(SimTime(0), &wire, &mut |frame: &[u8]| {
+                black_box(frame);
+            })
+        });
+    });
 }
 
 /// dMIMO's header-only remap (the Table 1 "kernel" class).

@@ -78,7 +78,7 @@ fn uplane(
         sym_inc: false,
         start_prb: 0,
         method: CompressionMethod::BFP9,
-        payload,
+        payload: payload.as_slice().into(),
     };
     FhMessage::new(
         src,

@@ -35,6 +35,9 @@ pub fn emit(out: &mut Vec<FhMessage>, msg: FhMessage) {
 /// A2 — replicate: emit one copy of `msg` per destination, in order, with
 /// the addressing rewritten. Consumes `msg`: the last destination gets the
 /// original, so N destinations cost N − 1 clones; none at all emit nothing.
+/// A clone *shares* each section's payload ([`rb_fronthaul::uplane::Payload`]):
+/// its cost does not depend on the payload size, and the pipeline serializes
+/// the shared bytes once.
 pub fn replicate_into(
     mut msg: FhMessage,
     src: EthernetAddress,

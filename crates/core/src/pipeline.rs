@@ -331,12 +331,25 @@ impl<M: Middlebox> MbPipeline<M> {
         &self.charges
     }
 
-    fn transmit(&mut self, mut msg: FhMessage, emit: &mut dyn FnMut(&[u8])) {
+    /// Apply the rules to `msg`, restamp it, serialize it into `tx_buf` and
+    /// hand the frame to `emit`. `in_buf` is the message whose frame `tx_buf`
+    /// already holds, if any: when `msg` — *after* rules and restamp —
+    /// shares its wire tail with it (an A2 replica: same body fields,
+    /// pointer-identical payloads), only the Ethernet and eCPRI headers are
+    /// rewritten. Pointer identity is enough because `in_buf` is still
+    /// alive: a write to a shared payload lands in a fresh block, so the
+    /// block is as it was serialized. Returns whether `tx_buf` now holds
+    /// `msg`'s frame.
+    fn transmit(
+        &mut self,
+        msg: &mut FhMessage,
+        in_buf: Option<&FhMessage>,
+        emit: &mut dyn FnMut(&[u8]),
+    ) -> bool {
         let eaxc_raw = msg.eaxc.pack(&self.mapping);
-        if !self.rules_cache.apply(&self.rules, &mut msg, eaxc_raw) {
+        if !self.rules_cache.apply(&self.rules, msg, eaxc_raw) {
             counters::bump(&mut self.stats.rule_drops);
-            self.recycler.recycle(msg);
-            return;
+            return false;
         }
         // A rule may have rewritten the eAxC id (`SetEaxc`): sequence
         // streams are keyed by the *post-rule* (dst, eAxC) pair the frame
@@ -345,14 +358,19 @@ impl<M: Middlebox> MbPipeline<M> {
         if self.seq_mode == SeqMode::Restamp {
             msg.seq_id = self.next_seq(msg.eth.dst, eaxc_raw);
         }
-        match msg.serialize_into(&self.mapping, &mut self.tx_buf) {
-            Ok(()) => {
-                counters::bump(&mut self.stats.tx);
-                emit(&self.tx_buf);
+        let serialized = match in_buf {
+            Some(prev) if msg.shares_wire_tail(prev) => {
+                msg.serialize_headers_into(&self.mapping, &mut self.tx_buf)
             }
-            Err(_) => counters::bump(&mut self.stats.emit_errors),
+            _ => msg.serialize_into(&self.mapping, &mut self.tx_buf),
+        };
+        if serialized.is_ok() {
+            counters::bump(&mut self.stats.tx);
+            emit(&self.tx_buf);
+        } else {
+            counters::bump(&mut self.stats.emit_errors);
         }
-        self.recycler.recycle(msg);
+        serialized.is_ok()
     }
 
     /// Run one raw frame through the full path: parse, MAC-filter, handle,
@@ -431,7 +449,8 @@ impl<M: Middlebox> MbPipeline<M> {
     }
 
     /// Run one handler entry point with a fresh charge ledger and the
-    /// (empty) emit scratch, then transmit what it emitted, in order.
+    /// (empty) emit scratch, then transmit what it emitted, in order, and
+    /// recycle the bodies.
     fn run_handler(
         &mut self,
         now: SimTime,
@@ -450,8 +469,14 @@ impl<M: Middlebox> MbPipeline<M> {
         };
         entry(&mut self.mb, &mut ctx, &mut emits);
         self.charges = ctx.charges;
+        // The messages stay in `emits` until all are sent, so each can be
+        // compared with the one before it; a single emit pays one `None`.
+        let mut in_buf: Option<&FhMessage> = None;
+        for m in &mut emits {
+            in_buf = if self.transmit(m, in_buf, emit) { Some(m) } else { None };
+        }
         for m in emits.drain(..) {
-            self.transmit(m, emit);
+            self.recycler.recycle(m);
         }
         self.emits = emits;
     }

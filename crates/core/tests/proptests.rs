@@ -3,7 +3,9 @@
 //! forwarding table is first-match-wins; replication preserves everything
 //! but the addressing; the pipeline survives arbitrarily mangled frames
 //! without emitting; the in-place IQ sum equals a decode-everything
-//! reference.
+//! reference; whichever way the pipeline serializes a replica — in full or
+//! by rewriting the headers over its sibling's frame — the bytes are those
+//! of a deep copy serialized on its own.
 
 // Test code is exempt from the crate's panic-vector denies.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
@@ -12,8 +14,8 @@ use proptest::prelude::*;
 use rb_core::actions;
 use rb_core::cache::{CacheKey, Plane, SymbolCache};
 use rb_core::mgmt::{ForwardingTable, Match, Rule, RuleAction};
-use rb_core::middlebox::Passthrough;
-use rb_core::pipeline::MbPipeline;
+use rb_core::middlebox::{MbContext, Middlebox, Passthrough};
+use rb_core::pipeline::{MbPipeline, SeqMode};
 use rb_fronthaul::bfp::CompressionMethod;
 use rb_fronthaul::cplane::{CPlaneRepr, SectionFields};
 use rb_fronthaul::eaxc::{Eaxc, EaxcMapping};
@@ -21,7 +23,7 @@ use rb_fronthaul::ether::EthernetAddress;
 use rb_fronthaul::iq::{IqSample, Prb};
 use rb_fronthaul::msg::{Body, FhMessage};
 use rb_fronthaul::timing::SymbolId;
-use rb_fronthaul::uplane::USection;
+use rb_fronthaul::uplane::{UPlaneRepr, USection};
 use rb_fronthaul::Direction;
 
 fn mac(last: u8) -> EthernetAddress {
@@ -108,8 +110,181 @@ fn arb_sections() -> impl Strategy<Value = Vec<USection>> {
         })
 }
 
+/// Replicates every input to `dsts` (action A2) and, if told to, queues
+/// one message of its own after the first `extra.0` replicas.
+struct Fanout {
+    dsts: Vec<EthernetAddress>,
+    extra: Option<(usize, FhMessage)>,
+}
+
+impl Fanout {
+    fn run(&self, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        actions::replicate_into(msg, mac(10), &self.dsts, out);
+        if let Some((after, extra)) = &self.extra {
+            out.insert((*after).min(out.len()), extra.clone());
+        }
+    }
+}
+
+impl Middlebox for Fanout {
+    fn name(&self) -> &str {
+        "fanout"
+    }
+    fn on_cplane(&mut self, _: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.run(msg, out);
+    }
+    fn on_uplane(&mut self, _: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
+        self.run(msg, out);
+    }
+}
+
+/// What the rule table does to the replica bound for one destination.
+#[derive(Debug, Clone, Copy)]
+enum RuleFor {
+    Pass,
+    SetEaxc(u8),
+    /// Tag, retag or untag: the Ethernet header length of this replica may
+    /// differ from its siblings'.
+    SetVlan(Option<u16>),
+    Drop,
+}
+
+fn arb_rule_for() -> impl Strategy<Value = RuleFor> {
+    prop_oneof![
+        Just(RuleFor::Pass),
+        Just(RuleFor::Pass),
+        (0u8..4).prop_map(RuleFor::SetEaxc),
+        proptest::option::of(1u16..4095).prop_map(RuleFor::SetVlan),
+        Just(RuleFor::Drop),
+    ]
+}
+
+/// A DL message from the DU `mac(1)` to the middlebox `mac(10)`: C-plane,
+/// or U-plane of one to three sections.
+fn arb_input() -> impl Strategy<Value = FhMessage> {
+    let cplane = (0u16..200).prop_map(|start| {
+        Body::CPlane(CPlaneRepr::single(
+            Direction::Downlink,
+            SymbolId::ZERO,
+            CompressionMethod::BFP9,
+            SectionFields::data(0, start, 10, 14),
+        ))
+    });
+    let uplane = proptest::collection::vec((arb_method(), any::<u8>(), 1usize..6), 1..4).prop_map(
+        |sections| {
+            let sections = sections
+                .into_iter()
+                .enumerate()
+                .map(|(id, (method, fill, num_prb))| {
+                    let s = IqSample::new(i16::from(fill) << 4, -i16::from(fill));
+                    let prbs = vec![Prb([s; 12]); num_prb];
+                    USection::from_prbs(id as u16, 0, &prbs, method).unwrap()
+                })
+                .collect();
+            Body::UPlane(UPlaneRepr {
+                direction: Direction::Downlink,
+                filter_index: 0,
+                symbol: SymbolId::ZERO,
+                sections,
+            })
+        },
+    );
+    (prop_oneof![cplane, uplane], 0u8..4, proptest::option::of(1u16..4095)).prop_map(
+        |(body, port, vlan)| {
+            let mut m = FhMessage::new(mac(1), mac(10), Eaxc::port(port), 0, body);
+            m.eth.vlan = vlan;
+            m
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn every_emitted_frame_equals_a_deep_copy_serialized_alone(
+        inputs in proptest::collection::vec(arb_input(), 1..4),
+        rules in proptest::collection::vec(arb_rule_for(), 0..=5),
+        // Where the handler's own message goes, what it is (an input-like
+        // message, or one that cannot serialize) — if there is one.
+        extra in proptest::option::of((0usize..6, arb_input(), any::<bool>())),
+        preserve in any::<bool>(),
+    ) {
+        let mapping = EaxcMapping::DEFAULT;
+        let dsts: Vec<EthernetAddress> = (0..rules.len() as u8).map(|k| mac(50 + k)).collect();
+        let extra = extra.map(|(after, mut m, broken)| {
+            actions::redirect(&mut m, mac(10), mac(99));
+            if let (true, Some(up)) = (broken, m.as_uplane_mut()) {
+                up.sections[0].section_id = 0x1000; // 13 bits: fails `validate`
+            }
+            (after, m)
+        });
+        let mut p = MbPipeline::new(Fanout { dsts: dsts.clone(), extra: extra.clone() }, mac(10));
+        if preserve {
+            p.set_seq_mode(SeqMode::Preserve);
+        }
+        for (&dst, rule) in dsts.iter().zip(&rules) {
+            let action = match *rule {
+                RuleFor::Pass => continue,
+                RuleFor::SetEaxc(port) => RuleAction::SetEaxc(Eaxc::port(port)),
+                RuleFor::SetVlan(vlan) => RuleAction::SetVlan(vlan),
+                RuleFor::Drop => RuleAction::Drop,
+            };
+            p.rules().write().push(Rule { matcher: Match { dst: Some(dst), ..Match::any() }, action });
+        }
+
+        // The reference shares nothing with the pipeline: every expected
+        // frame is parsed afresh from the input bytes (a deep copy), has
+        // the rule and the stamp applied by hand, and is serialized alone.
+        let mut next_seq = std::collections::HashMap::new();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let (mut drops, mut errors) = (0u64, 0u64);
+        for (n, input) in inputs.iter().enumerate() {
+            let mut input = input.clone();
+            input.seq_id = n as u8;
+            let wire = input.to_bytes(&mapping).unwrap();
+            let mut planned: Vec<(FhMessage, RuleFor)> = dsts
+                .iter()
+                .zip(&rules)
+                .map(|(&dst, &rule)| {
+                    let mut copy = FhMessage::parse(&wire, &mapping).unwrap();
+                    actions::redirect(&mut copy, mac(10), dst);
+                    (copy, rule)
+                })
+                .collect();
+            if let Some((after, m)) = &extra {
+                planned.insert((*after).min(planned.len()), (m.clone(), RuleFor::Pass));
+            }
+            for (mut m, rule) in planned {
+                match rule {
+                    RuleFor::Pass => {}
+                    RuleFor::SetEaxc(port) => m.eaxc = Eaxc::port(port),
+                    RuleFor::SetVlan(vlan) => m.eth.vlan = vlan,
+                    RuleFor::Drop => {
+                        drops += 1;
+                        continue;
+                    }
+                }
+                if !preserve {
+                    let seq = next_seq.entry((m.eth.dst, m.eaxc.pack(&mapping))).or_insert(0u8);
+                    m.seq_id = *seq;
+                    *seq = seq.wrapping_add(1);
+                }
+                match m.to_bytes(&mapping) {
+                    Ok(bytes) => want.push(bytes),
+                    Err(_) => errors += 1,
+                }
+            }
+            p.process(rb_netsim::time::SimTime(0), &wire, &mut |b: &[u8]| got.push(b.to_vec()));
+        }
+        prop_assert_eq!(got.len(), want.len());
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(g, w, "emitted frame {}", k);
+        }
+        prop_assert_eq!(p.stats.tx, want.len() as u64);
+        prop_assert_eq!(p.stats.rule_drops, drops);
+        prop_assert_eq!(p.stats.emit_errors, errors);
+    }
 
     #[test]
     fn in_place_sum_equals_the_allocating_oracle(sections in arb_sections()) {

@@ -142,29 +142,15 @@ impl FhMessage {
 
     /// Serialize the whole frame into `buf`, reusing its capacity.
     ///
-    /// `buf` is cleared and resized to [`FhMessage::wire_len`]; once the
-    /// buffer has grown to the largest frame it has carried, repeated
-    /// calls perform no heap allocation.
+    /// `buf` is resized to [`FhMessage::wire_len`]; once the buffer has
+    /// grown to the largest frame it has carried, repeated calls perform
+    /// no heap allocation. Only growth is zero-filled: the emitters write
+    /// every byte of their range, reserved ones included.
     #[rb_hot_path]
     pub fn serialize_into(&self, mapping: &EaxcMapping, buf: &mut Vec<u8>) -> Result<()> {
-        buf.clear();
         buf.resize(self.wire_len(), 0);
-        let eth_len = self.eth.header_len();
-        self.eth.emit(&mut Frame::new_unchecked(buf.as_mut_slice()))?;
-
-        let app_len = self.body.wire_len();
-        let ecpri_repr = ecpri::Repr {
-            message_type: self.body.message_type(),
-            payload_size: ecpri::Repr::payload_size_for(app_len)?,
-            eaxc: self.eaxc,
-            seq_id: self.seq_id,
-            e_bit: true,
-            sub_seq_id: 0,
-        };
-        let ecpri_buf = buf.get_mut(eth_len..).ok_or(Error::BufferTooSmall)?;
-        ecpri_repr.emit(&mut ecpri::Packet::new_unchecked(ecpri_buf), mapping)?;
-
-        let app_off = eth_len.saturating_add(ecpri::HEADER_LEN);
+        self.serialize_headers_into(mapping, buf)?;
+        let app_off = self.eth.header_len().saturating_add(ecpri::HEADER_LEN);
         let app_buf = buf.get_mut(app_off..).ok_or(Error::BufferTooSmall)?;
         match &self.body {
             Body::CPlane(c) => {
@@ -178,6 +164,39 @@ impl FhMessage {
             }
         }
         Ok(())
+    }
+
+    /// The header-only emit: write just the Ethernet and eCPRI headers
+    /// over the front of `frame` — a whole serialization when `frame` holds
+    /// a message this one [shares its wire tail](FhMessage::shares_wire_tail)
+    /// with: an A2 replica costs ~22 bytes, whatever its payload size.
+    #[rb_hot_path]
+    pub fn serialize_headers_into(&self, mapping: &EaxcMapping, frame: &mut [u8]) -> Result<()> {
+        let eth_len = self.eth.header_len();
+        self.eth.emit(&mut Frame::new_unchecked(&mut *frame))?;
+        let ecpri_repr = ecpri::Repr {
+            message_type: self.body.message_type(),
+            payload_size: ecpri::Repr::payload_size_for(self.body.wire_len())?,
+            eaxc: self.eaxc,
+            seq_id: self.seq_id,
+            e_bit: true,
+            sub_seq_id: 0,
+        };
+        let ecpri_buf = frame.get_mut(eth_len..).ok_or(Error::BufferTooSmall)?;
+        ecpri_repr.emit(&mut ecpri::Packet::new_unchecked(ecpri_buf), mapping)
+    }
+
+    /// Whether every byte past the eCPRI header is the same in both frames
+    /// *and at the same offset*: equal Ethernet header length and U-plane
+    /// bodies that [share](UPlaneRepr::shares_wire_bytes) their payloads.
+    /// Other planes answer `false`: cheaper to emit than to compare.
+    pub fn shares_wire_tail(&self, other: &FhMessage) -> bool {
+        match (&self.body, &other.body) {
+            (Body::UPlane(a), Body::UPlane(b)) => {
+                self.eth.header_len() == other.eth.header_len() && a.shares_wire_bytes(b)
+            }
+            _ => false,
+        }
     }
 
     /// Parse a whole frame from bytes: [`MsgRecycler::parse`] with nothing

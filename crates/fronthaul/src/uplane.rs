@@ -24,6 +24,9 @@
 //! in a single jumbo frame); such a section must be the last in the message
 //! and its PRB count is inferred from the remaining payload length.
 
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
+
 use crate::bfp::{self, CompressionMethod};
 use crate::iq::Prb;
 use crate::timing::{SymbolId, SYMBOLS_PER_SLOT};
@@ -54,6 +57,84 @@ const MIN_MSG_LEN: usize = APP_HDR_LEN + SECTION_HDR_LEN;
 /// Per-section header length (section fields + numPrbu + udCompHdr + rsvd).
 pub const SECTION_HDR_LEN: usize = 6;
 
+/// A section's wire payload: bytes behind a copy-on-write reference count.
+///
+/// Cloning bumps the count instead of copying the bytes, which makes
+/// replicating a 7.7 KB message (action A2) a header operation. The first
+/// write through a shared handle (`DerefMut`) moves that handle onto a
+/// private copy, so two handles on one block ([`Payload::ptr_eq`]) hold the
+/// same bytes for as long as both exist. Count and bytes share one heap
+/// block, so a fresh payload costs one allocation, as a `Vec<u8>` did;
+/// `len` is the used prefix, so a recycled block takes any payload that fits.
+#[derive(Clone)]
+pub struct Payload {
+    buf: Arc<[u8]>,
+    len: usize,
+}
+
+impl Payload {
+    /// `len` zero bytes.
+    pub fn zeroed(len: usize) -> Payload {
+        Payload { buf: std::iter::repeat_n(0u8, len).collect(), len }
+    }
+
+    /// Replace the contents with `data`: in place when no other handle
+    /// shares the block and `data` fits it, in a fresh block otherwise — a
+    /// shared block is never written through.
+    pub fn refill(&mut self, data: &[u8]) {
+        match Arc::get_mut(&mut self.buf).and_then(|b| b.get_mut(..data.len())) {
+            Some(dst) => dst.copy_from_slice(data),
+            None => self.buf = Arc::from(data),
+        }
+        self.len = data.len();
+    }
+
+    /// Shorten to at most `len` bytes (the block is kept).
+    pub fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+    }
+
+    /// Whether both handles view the same bytes of the same block.
+    pub fn ptr_eq(&self, other: &Payload) -> bool {
+        Arc::ptr_eq(&self.buf, &other.buf) && self.len == other.len
+    }
+}
+
+impl From<&[u8]> for Payload {
+    fn from(data: &[u8]) -> Payload {
+        Payload { buf: Arc::from(data), len: data.len() }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.buf.get(..self.len).unwrap_or(&[])
+    }
+}
+
+impl DerefMut for Payload {
+    /// Copy-on-write: a shared block is left to the other handles.
+    fn deref_mut(&mut self) -> &mut [u8] {
+        Arc::make_mut(&mut self.buf).get_mut(..self.len).unwrap_or(&mut [])
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// One U-plane section: a contiguous PRB range and its (possibly
 /// compressed) IQ payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +150,7 @@ pub struct USection {
     /// Compression applied to `payload`.
     pub method: CompressionMethod,
     /// Raw wire payload: `num_prb ×` [`CompressionMethod::prb_wire_bytes`].
-    pub payload: Vec<u8>,
+    pub payload: Payload,
 }
 
 impl USection {
@@ -82,7 +163,7 @@ impl USection {
     ) -> Result<USection> {
         method.validate()?;
         let per = method.prb_wire_bytes();
-        let mut payload = vec![0u8; prbs.len().saturating_mul(per)];
+        let mut payload = Payload::zeroed(prbs.len().saturating_mul(per));
         for (chunk, prb) in payload.chunks_exact_mut(per).zip(prbs.iter()) {
             bfp::compress_prb_wire(prb, method, chunk)?;
         }
@@ -217,6 +298,21 @@ impl UPlaneRepr {
     /// Byte length of the emitted message.
     pub fn wire_len(&self) -> usize {
         self.sections.iter().fold(APP_HDR_LEN, |acc, s| acc.saturating_add(s.wire_len()))
+    }
+
+    /// Whether `other` emits the same bytes as `self`, judged by header
+    /// fields and payload *identity* ([`Payload::ptr_eq`]) — true of the
+    /// replicas of one message, never of two separately built ones. Cheap
+    /// enough to ask per emitted frame.
+    pub fn shares_wire_bytes(&self, other: &UPlaneRepr) -> bool {
+        let fields = |s: &USection| (s.section_id, s.rb, s.sym_inc, s.start_prb, s.method);
+        (self.direction, self.filter_index, self.symbol, self.sections.len())
+            == (other.direction, other.filter_index, other.symbol, other.sections.len())
+            && self
+                .sections
+                .iter()
+                .zip(&other.sections)
+                .all(|(a, b)| fields(a) == fields(b) && a.payload.ptr_eq(&b.payload))
     }
 
     /// Validate field ranges and payload shapes.
@@ -354,14 +450,14 @@ impl UPlaneRepr {
             };
             let payload = data.get(off..off.saturating_add(payload_len)).ok_or(Error::Truncated)?;
             if let Some(s) = self.sections.get_mut(used) {
-                // Steady state: refill the recycled section slot in place.
+                // Steady state: refill the recycled section slot — in place
+                // unless an emitted replica still shares its payload.
                 s.section_id = section_id;
                 s.rb = rb;
                 s.sym_inc = sym_inc;
                 s.start_prb = start_prb;
                 s.method = method;
-                s.payload.clear();
-                s.payload.extend_from_slice(payload);
+                s.payload.refill(payload);
             } else {
                 // Cold start / section-count growth: materialize a slot.
                 self.sections.push(USection {
@@ -370,7 +466,7 @@ impl UPlaneRepr {
                     sym_inc,
                     start_prb,
                     method,
-                    payload: payload.to_vec(),
+                    payload: Payload::from(payload),
                 });
             }
             used = used.saturating_add(1);

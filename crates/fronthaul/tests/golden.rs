@@ -8,7 +8,8 @@
 //!    these bytes;
 //! 2. parsing these bytes yields every annotated header field (so a codec
 //!    regression fails naming the broken field, not with a hexdump diff);
-//! 3. `parse → serialize_into` round-trips byte-exactly.
+//! 3. `parse → serialize_into` round-trips byte-exactly, whatever the
+//!    buffer held before.
 
 use rb_fronthaul::bfp::CompressionMethod;
 use rb_fronthaul::cplane::{CPlaneRepr, Section3, SectionFields, Sections};
@@ -28,9 +29,15 @@ fn mac(last: u8) -> EthernetAddress {
 fn round_trip(vector: &[u8]) -> FhMessage {
     let msg = FhMessage::parse(vector, &EaxcMapping::DEFAULT).expect("golden vector must parse");
     assert_eq!(msg.wire_len(), vector.len(), "wire_len disagrees with the vector length");
-    let mut buf = Vec::new();
-    msg.serialize_into(&EaxcMapping::DEFAULT, &mut buf).expect("golden vector must re-serialize");
-    assert_eq!(buf, vector, "parse -> serialize_into must round-trip byte-exactly");
+    // `serialize_into` does not clear what the buffer held: whatever was
+    // there — nothing, a shorter, an equal or a longer frame's worth of
+    // `0xff` — every byte of the result is the emitters' own.
+    for stale in [0, vector.len() - 1, vector.len(), vector.len() + 9] {
+        let mut buf = vec![0xff; stale];
+        msg.serialize_into(&EaxcMapping::DEFAULT, &mut buf)
+            .expect("golden vector must re-serialize");
+        assert_eq!(buf, vector, "parse -> serialize_into over {stale} stale bytes");
+    }
     msg
 }
 

@@ -12,6 +12,7 @@ use rb_fronthaul::eaxc::{Eaxc, EaxcMapping};
 use rb_fronthaul::ether::{EtherType, EthernetAddress, FrameRepr};
 use rb_fronthaul::iq::{IqSample, Prb, SAMPLES_PER_PRB};
 use rb_fronthaul::msg::{Body, FhMessage};
+use rb_fronthaul::recovery::{RecoveryOp, RecoveryRepr};
 use rb_fronthaul::timing::SymbolId;
 use rb_fronthaul::uplane::{UPlaneRepr, USection};
 use rb_fronthaul::Direction;
@@ -88,6 +89,44 @@ fn arb_section_fields() -> impl Strategy<Value = SectionFields> {
                 }
             },
         )
+}
+
+/// A message body of any plane: C-plane type 1 and type 3, multi-section
+/// U-plane, recovery NACK and parity.
+fn arb_body() -> impl Strategy<Value = Body> {
+    let cplane1 = (arb_method(), proptest::collection::vec(arb_section_fields(), 1..8))
+        .prop_map(|(comp, sections)| Sections::Type1 { comp, sections });
+    let cplane3 = (arb_section_fields(), -(1i32 << 23)..(1i32 << 23), any::<u16>(), any::<u16>())
+        .prop_map(|(fields, frequency_offset, time_offset, cp_length)| Sections::Type3 {
+            time_offset,
+            frame_structure: 0xb1,
+            cp_length,
+            comp: CompressionMethod::BFP9,
+            sections: vec![Section3 { fields, frequency_offset }],
+        });
+    let cplane = (arb_direction(), arb_symbol(), prop_oneof![cplane1, cplane3]).prop_map(
+        |(direction, symbol, sections)| {
+            Body::CPlane(CPlaneRepr { direction, filter_index: 0, symbol, sections })
+        },
+    );
+    let usection = (arb_method(), proptest::collection::vec(arb_prb(), 1..12), 0u16..=0xfff);
+    let uplane = (arb_direction(), arb_symbol(), proptest::collection::vec(usection, 1..4))
+        .prop_map(|(direction, symbol, sections)| {
+            let sections = sections
+                .into_iter()
+                .map(|(method, prbs, id)| USection::from_prbs(id, 0, &prbs, method).unwrap())
+                .collect();
+            Body::UPlane(UPlaneRepr { direction, filter_index: 0, symbol, sections })
+        });
+    let nack = (arb_direction(), any::<u8>(), 1u16..)
+        .prop_map(|(dir, base_seq, mask)| Body::Recovery(RecoveryRepr::nack(dir, base_seq, mask)));
+    let parity =
+        (arb_direction(), any::<u8>(), 1u8..=32, proptest::collection::vec(any::<u8>(), 2..200))
+            .prop_map(|(direction, base_seq, window, payload)| {
+                let op = RecoveryOp::Parity { base_seq, window, depth: 1, class: 0, payload };
+                Body::Recovery(RecoveryRepr { direction, op })
+            });
+    prop_oneof![cplane, uplane, nack, parity]
 }
 
 proptest! {
@@ -271,6 +310,26 @@ proptest! {
         };
         let bytes = msg.to_bytes(&EaxcMapping::DEFAULT).unwrap();
         prop_assert_eq!(FhMessage::parse(&bytes, &EaxcMapping::DEFAULT).unwrap(), msg);
+    }
+
+    #[test]
+    fn serialize_into_ignores_what_the_buffer_held(
+        body in arb_body(),
+        vlan in proptest::option::of(1u16..4095),
+        seq in any::<u8>(),
+        longer in 1usize..64,
+    ) {
+        let mut msg =
+            FhMessage::new(EthernetAddress::new(2, 0, 0, 0, 0, 2), EthernetAddress::new(2, 0, 0, 0, 0, 1), Eaxc::port(3), seq, body);
+        msg.eth.vlan = vlan;
+        let want = msg.to_bytes(&EaxcMapping::DEFAULT).unwrap();
+        // No byte of the frame is left to the buffer's previous contents,
+        // reserved ones included: only growth is zero-filled.
+        for stale in [0, want.len() / 2, want.len() - 1, want.len(), want.len() + longer] {
+            let mut buf = vec![0xff; stale];
+            msg.serialize_into(&EaxcMapping::DEFAULT, &mut buf).unwrap();
+            prop_assert_eq!(&buf, &want, "over {} stale bytes", stale);
+        }
     }
 
     #[test]

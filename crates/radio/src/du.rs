@@ -441,7 +441,7 @@ impl Du {
             sym_inc: false,
             start_prb: start,
             method: self.templates.method(),
-            payload,
+            payload: payload.as_slice().into(),
         }
     }
 

@@ -277,7 +277,7 @@ impl Ru {
                             sym_inc: false,
                             start_prb: sched.start_prb,
                             method: self.templates.method(),
-                            payload,
+                            payload: payload.as_slice().into(),
                         });
                     }
                     let up = UPlaneRepr {
@@ -316,7 +316,7 @@ impl Ru {
                     sym_inc: false,
                     start_prb: 0,
                     method: self.templates.method(),
-                    payload,
+                    payload: payload.as_slice().into(),
                 });
             }
             for (port, sections) in by_port {
@@ -585,7 +585,7 @@ mod tests {
                 sym_inc: false,
                 start_prb: cell.ssb.start_prb,
                 method: CompressionMethod::BFP9,
-                payload,
+                payload: payload.as_slice().into(),
             }],
         };
         let bytes = FhMessage::new(mac(1), mac(9), Eaxc::port(0), 0, Body::UPlane(up))
