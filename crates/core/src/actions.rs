@@ -5,9 +5,9 @@
 //! their result by [`emit`]ting messages into the buffer the framework
 //! hands them — dropping a packet (part of A1) is simply not emitting it.
 
-use rb_fronthaul::bfp::{self, CompressionMethod};
+use rb_fronthaul::bfp;
 use rb_fronthaul::ether::EthernetAddress;
-use rb_fronthaul::iq::{PrbComponents, COMPONENTS_PER_PRB};
+use rb_fronthaul::iq::COMPONENTS_PER_PRB;
 use rb_fronthaul::msg::FhMessage;
 use rb_fronthaul::uplane::USection;
 use rb_fronthaul::{Error, Result};
@@ -56,8 +56,8 @@ pub fn replicate_into(
     emit(out, msg);
 }
 
-/// PRBs summed per pass of [`sum_sections_into`]: a 64 × 48 B = 3 KB stack
-/// accumulator, small enough to stay in L1 beside the wire bytes filling it.
+/// PRBs per pass of [`sum_sections_into`] and [`recompress_copy`]: a 64 × 48 B
+/// = 3 KB stack scratch, small enough to stay in L1 beside the wire bytes.
 pub const SUM_BLOCK_PRBS: usize = 64;
 
 /// A4 — element-wise sum of the PRB payloads of several U-plane sections
@@ -71,10 +71,11 @@ pub const SUM_BLOCK_PRBS: usize = 64;
 /// sections must have the same `start_prb` and PRB count; on any mismatch
 /// `dst` is left untouched.
 ///
-/// Nothing is allocated: each block of [`SUM_BLOCK_PRBS`] PRBs is
-/// decompress-accumulated from every source into a stack scratch, then
-/// recompressed in a second pass (packing a PRB straight after
-/// accumulating it stalls on the accumulator's stores).
+/// Nothing is allocated: each block of [`SUM_BLOCK_PRBS`] PRBs of `dst` is
+/// decompressed into a stack scratch (stored, not added to zeros), every
+/// other source is accumulated onto it, and the block is recompressed in a
+/// pass of its own (packing a PRB straight after accumulating it stalls on
+/// the accumulator's stores) — the run-level kernels of [`rb_fronthaul::bfp`].
 pub fn sum_sections_into<'a>(
     dst: &mut USection,
     other: impl Fn(usize) -> Option<&'a USection>,
@@ -97,34 +98,21 @@ pub fn sum_sections_into<'a>(
     for block in dst.payload.chunks_mut(SUM_BLOCK_PRBS.saturating_mul(per)) {
         let count = u16::try_from(block.len() / per).unwrap_or(u16::MAX);
         let acc = scratch.get_mut(..usize::from(count)).ok_or(Error::FieldRange)?;
-        acc.fill([0; COMPONENTS_PER_PRB]);
-        accumulate(acc, block, dst.method)?;
+        bfp::unpack_prbs_wire(acc, block, dst.method)?;
         for s in others() {
-            accumulate(acc, s.prb_range_bytes(first_prb, count)?, s.method)?;
+            bfp::accumulate_prbs_wire(acc, s.prb_range_bytes(first_prb, count)?, s.method)?;
         }
-        for (wire, sum) in block.chunks_exact_mut(per).zip(acc.iter()) {
-            bfp::pack_prb_wire(sum, dst.method, wire)?;
-        }
+        bfp::pack_prbs_wire(acc, dst.method, block)?;
         first_prb = first_prb.saturating_add(count);
     }
     Ok(())
 }
 
-/// Decompress consecutive wire PRBs and add them, saturating, into `acc`.
-fn accumulate(acc: &mut [PrbComponents], wire: &[u8], method: CompressionMethod) -> Result<()> {
-    for (sum, prb) in acc.iter_mut().zip(wire.chunks_exact(method.prb_wire_bytes())) {
-        let (v, _exp) = bfp::unpack_prb_wire(prb, method)?;
-        for (s, c) in sum.iter_mut().zip(v) {
-            *s = s.saturating_add(c);
-        }
-    }
-    Ok(())
-}
-
 /// A4 — copy a PRB range between two sections that may use different
-/// compression or misaligned grids: decompress `count` PRBs of `src`,
-/// recompress them straight into `dst` (the RU-sharing *misaligned* path;
-/// see [`USection::copy_prbs_from`] for the aligned fast path).
+/// compression or misaligned grids: decompress `count` PRBs of `src` a
+/// block at a time, recompress each block into `dst` (the RU-sharing
+/// *misaligned* path; see [`USection::copy_prbs_from`] for the aligned
+/// fast path).
 pub fn recompress_copy(
     dst: &mut USection,
     src: &USection,
@@ -132,12 +120,15 @@ pub fn recompress_copy(
     dst_idx: u16,
     count: u16,
 ) -> Result<()> {
-    let from = src.prb_range_bytes(src_idx, count)?.chunks_exact(src.method.prb_wire_bytes());
+    let (from_per, to_per) = (src.method.prb_wire_bytes(), dst.method.prb_wire_bytes());
+    let from = src.prb_range_bytes(src_idx, count)?.chunks(SUM_BLOCK_PRBS.saturating_mul(from_per));
     let dst_method = dst.method;
-    let to = dst.prb_range_bytes_mut(dst_idx, count)?.chunks_exact_mut(dst_method.prb_wire_bytes());
-    for (from, to) in from.zip(to) {
-        let (v, _exp) = bfp::unpack_prb_wire(from, src.method)?;
-        bfp::pack_prb_wire(&v, dst_method, to)?;
+    let to = dst.prb_range_bytes_mut(dst_idx, count)?;
+    let mut scratch = [[0i16; COMPONENTS_PER_PRB]; SUM_BLOCK_PRBS];
+    for (from, to) in from.zip(to.chunks_mut(SUM_BLOCK_PRBS.saturating_mul(to_per))) {
+        let v = scratch.get_mut(..from.len() / from_per).ok_or(Error::FieldRange)?;
+        bfp::unpack_prbs_wire(v, from, src.method)?;
+        bfp::pack_prbs_wire(v, dst_method, to)?;
     }
     Ok(())
 }
@@ -161,6 +152,7 @@ pub fn copy_prbs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rb_fronthaul::bfp::CompressionMethod;
     use rb_fronthaul::cplane::{CPlaneRepr, SectionFields};
     use rb_fronthaul::eaxc::Eaxc;
     use rb_fronthaul::iq::{IqSample, Prb};

@@ -55,18 +55,46 @@ fn key(eaxc: u16, sym: u8) -> CacheKey {
     }
 }
 
-/// Allocating reference for `actions::sum_sections_into`: decode every
-/// section whole, add PRB by PRB in order, build a fresh section with the
-/// first one's method.
+/// Bit-at-a-time BFP reference codec, shared with rb-fronthaul's tests:
+/// the sum's oracle must not decode or encode with the kernels it checks.
+#[path = "../../fronthaul/tests/support/bfp_reference.rs"]
+mod reference;
+
+/// Allocating reference for `actions::sum_sections_into`, through the
+/// reference codec only: decode every section whole, add component by
+/// component in order with saturation, encode with the first one's method.
 fn sum_sections_oracle(sections: &[USection]) -> USection {
     let first = &sections[0];
-    let mut acc = vec![Prb::ZERO; usize::from(first.num_prb())];
+    let mut acc = vec![[0i16; 24]; usize::from(first.num_prb())];
     for s in sections {
-        for (slot, (prb, _exp)) in acc.iter_mut().zip(s.decode().unwrap()) {
-            slot.add_assign_saturating(&prb);
+        for (sum, prb) in acc.iter_mut().zip(s.payload.chunks_exact(s.method.prb_wire_bytes())) {
+            let v = match s.method {
+                CompressionMethod::NoCompression => {
+                    std::array::from_fn(|k| i16::from_be_bytes([prb[2 * k], prb[2 * k + 1]]))
+                }
+                CompressionMethod::BlockFloatingPoint { iq_width } => {
+                    reference::decompress(&prb[1..], iq_width, prb[0] & 0x0f)
+                }
+            };
+            for (a, c) in sum.iter_mut().zip(v) {
+                *a = a.saturating_add(c);
+            }
         }
     }
-    USection::from_prbs(first.section_id, first.start_prb, &acc, first.method).unwrap()
+    let mut payload = Vec::new();
+    for v in &acc {
+        match first.method {
+            CompressionMethod::NoCompression => {
+                payload.extend(v.iter().flat_map(|c| c.to_be_bytes()));
+            }
+            CompressionMethod::BlockFloatingPoint { iq_width } => {
+                let mut mantissas = vec![0u8; 3 * usize::from(iq_width)];
+                payload.push(reference::compress(v, iq_width, &mut mantissas));
+                payload.extend(mantissas);
+            }
+        }
+    }
+    USection { payload: payload.as_slice().into(), ..first.clone() }
 }
 
 fn arb_method() -> impl Strategy<Value = CompressionMethod> {
@@ -77,19 +105,36 @@ fn arb_method() -> impl Strategy<Value = CompressionMethod> {
     ]
 }
 
+/// The methods on either side of the sum's kernel dispatch: the paper's
+/// BFP-9 (its own kernels, picked once per run), uncompressed and BFP-14
+/// (the per-PRB path), and now and then any width at all.
+fn arb_sum_method() -> impl Strategy<Value = CompressionMethod> {
+    let bfp14 = CompressionMethod::BlockFloatingPoint { iq_width: 14 };
+    prop_oneof![
+        Just(CompressionMethod::BFP9),
+        Just(CompressionMethod::BFP9),
+        Just(CompressionMethod::NoCompression),
+        Just(bfp14),
+        arb_method(),
+    ]
+}
+
 /// 1–5 sections over one PRB range, each with its own method and its own
 /// IQ. Sizes sit on both sides of the sum's block boundary, plus the
 /// paper's 273-PRB carrier. `quiet` shifts a source's samples down: 0 is
 /// full scale (sums saturate, so their order shows), 15 and up leave only
-/// 0 and −1 (every exponent in between is exercised).
+/// 0 and −1 (every exponent in between is exercised). A `corrupt` source
+/// has the exponents 8–15 written over every third PRB's `udCompParam` —
+/// values no compressor emits and a wire can carry.
 fn arb_sections() -> impl Strategy<Value = Vec<USection>> {
     let b = actions::SUM_BLOCK_PRBS;
     let sizes = prop_oneof![Just(1usize), Just(b - 1), Just(b), Just(b + 1), Just(273), 2..3 * b];
-    (sizes, 0u16..0x200, proptest::collection::vec((arb_method(), any::<u64>(), 0u32..24), 1..=5))
-        .prop_map(|(num_prb, start_prb, sources)| {
+    let source = (arb_sum_method(), any::<u64>(), 0u32..24, any::<bool>());
+    (sizes, 0u16..0x200, proptest::collection::vec(source, 1..=5)).prop_map(
+        |(num_prb, start_prb, sources)| {
             sources
                 .into_iter()
-                .map(|(method, seed, quiet)| {
+                .map(|(method, seed, quiet, corrupt)| {
                     let mut x = seed | 1;
                     let prbs: Vec<Prb> = (0..num_prb)
                         .map(|_| {
@@ -104,10 +149,17 @@ fn arb_sections() -> impl Strategy<Value = Vec<USection>> {
                             prb
                         })
                         .collect();
-                    USection::from_prbs(7, start_prb, &prbs, method).unwrap()
+                    let mut section = USection::from_prbs(7, start_prb, &prbs, method).unwrap();
+                    if corrupt && method.param_bytes() == 1 {
+                        for idx in (0..num_prb as u16).step_by(3) {
+                            section.prb_bytes_mut(idx).unwrap()[0] = 8 + (idx % 8) as u8;
+                        }
+                    }
+                    section
                 })
                 .collect()
-        })
+        },
+    )
 }
 
 /// Replicates every input to `dsts` (action A2) and, if told to, queues
