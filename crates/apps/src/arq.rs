@@ -27,7 +27,7 @@
 //! counters.
 
 use rb_core::actions;
-use rb_core::hash::FrameMap;
+use rb_core::hash::{FrameMap, StreamKey, StreamMap};
 use rb_core::middlebox::{MbContext, Middlebox};
 use rb_core::telemetry::counters;
 use rb_fronthaul::ether::EthernetAddress;
@@ -169,7 +169,7 @@ pub struct ArqReceiver {
     mac: EthernetAddress,
     dst: EthernetAddress,
     sender: EthernetAddress,
-    trackers: FrameMap<(EthernetAddress, u16), RxTracker>,
+    trackers: StreamMap<RxTracker>,
     nack_seq: FrameMap<u16, u8>,
     /// Aggregate counters.
     pub stats: ArqReceiverStats,
@@ -189,7 +189,7 @@ impl ArqReceiver {
             mac,
             dst,
             sender,
-            trackers: FrameMap::default(),
+            trackers: StreamMap::default(),
             nack_seq: FrameMap::default(),
             stats: ArqReceiverStats::default(),
         }
@@ -206,13 +206,13 @@ impl ArqReceiver {
         let raw = msg.eaxc.pack(&ctx.mapping);
         // `src` comes off the wire: past the cap, streams not already
         // tracked are forwarded as in-order, without gap recovery.
-        let tracked =
-            self.trackers.len() < TRACKED_STREAMS_MAX || self.trackers.contains_key(&(src, raw));
-        let verdict = if tracked {
-            self.trackers.entry((src, raw)).or_default().observe(msg.seq_id)
+        let key = StreamKey::new(src, raw);
+        let tracker = if self.trackers.len() < TRACKED_STREAMS_MAX {
+            self.trackers.find_or_insert_with(key, RxTracker::default)
         } else {
-            GapVerdict::InOrder
+            self.trackers.find_mut(key)
         };
+        let verdict = tracker.map_or(GapVerdict::InOrder, |t| t.observe(msg.seq_id));
         ctx.charge(Work::Cache, XdpPlacement::Userspace);
         match verdict {
             GapVerdict::InOrder => {

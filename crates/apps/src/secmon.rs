@@ -21,7 +21,7 @@
 //! any other middlebox.
 
 use rb_core::actions;
-use rb_core::hash::FrameMap;
+use rb_core::hash::{StreamKey, StreamMap};
 use rb_core::middlebox::{MbContext, Middlebox};
 use rb_core::telemetry::counters;
 use rb_fronthaul::ether::EthernetAddress;
@@ -59,13 +59,20 @@ pub struct SecMonStats {
     pub implausible_schedule: u64,
     /// Sequence-number gaps observed per (source, eAxC) stream.
     pub seq_gaps: u64,
+    /// Frames passed without gap accounting because the map already held
+    /// its maximum of 65 536 other streams.
+    pub seq_untracked: u64,
 }
+
+/// Most `(source, eAxC)` streams one [`SecMon`] tracks for gaps. Sources
+/// are allowlisted, but each may send on any of 65 536 eAxC ids.
+const SEQ_STREAMS_MAX: usize = 65_536;
 
 /// The security-monitoring middlebox.
 pub struct SecMon {
     name: String,
     cfg: SecMonConfig,
-    last_seq: FrameMap<(EthernetAddress, u16), u8>,
+    last_seq: StreamMap<u8>,
     /// Counters.
     pub stats: SecMonStats,
 }
@@ -76,7 +83,7 @@ impl SecMon {
         SecMon {
             name: name.into(),
             cfg,
-            last_seq: FrameMap::default(),
+            last_seq: StreamMap::default(),
             stats: SecMonStats::default(),
         }
     }
@@ -126,10 +133,20 @@ impl SecMon {
         // Sequence-gap accounting (replay/injection indicator, not a drop:
         // reordering happens legitimately under chaining). Stricter than
         // `ecpri::seq_step` on purpose: anything but the successor counts.
-        let key = (msg.eth.src, msg.eaxc.pack(&ctx.mapping));
-        if let Some(prev) = self.last_seq.insert(key, msg.seq_id) {
-            if msg.seq_id != prev.wrapping_add(1) {
-                counters::bump(&mut self.stats.seq_gaps);
+        let key = StreamKey::new(msg.eth.src, msg.eaxc.pack(&ctx.mapping));
+        match self.last_seq.find_mut(key) {
+            Some(prev) => {
+                if msg.seq_id != prev.wrapping_add(1) {
+                    counters::bump(&mut self.stats.seq_gaps);
+                }
+                *prev = msg.seq_id;
+            }
+            None => {
+                if self.last_seq.len() < SEQ_STREAMS_MAX {
+                    self.last_seq.insert(key, msg.seq_id);
+                } else {
+                    counters::bump(&mut self.stats.seq_untracked);
+                }
             }
         }
         let dst = if from_du { self.cfg.towards_ru } else { self.cfg.towards_du };
@@ -289,5 +306,30 @@ mod tests {
         m.handle(&mut ctx(&mut cache, &tel), cplane(mac(1), 255, 0, 50));
         m.handle(&mut ctx(&mut cache, &tel), cplane(mac(1), 0, 0, 50));
         assert_eq!(m.stats.seq_gaps, 2, "255 after 8 is a gap; 0 after 255 is not");
+    }
+
+    #[test]
+    fn seq_map_is_bounded_against_cycling_eaxc_ids() {
+        // Regression: every (source, eAxC) stream got an entry that was
+        // never removed, and an allowlisted source may use any eAxC id.
+        let mut m = secmon();
+        let mut cache = SymbolCache::new(8);
+        let tel = TelemetrySender::disconnected("t");
+        // The RU's stream, tracked before the flood starts.
+        m.handle(&mut ctx(&mut cache, &tel), uplane(mac(9), Direction::Uplink));
+        let mut flood = cplane(mac(1), 0, 0, 50);
+        for raw in 0..=u16::MAX {
+            flood.eaxc = Eaxc::unpack(raw, &EaxcMapping::DEFAULT);
+            let out = m.handle(&mut ctx(&mut cache, &tel), flood.clone());
+            assert_eq!(out.len(), 1, "untracked streams still pass");
+        }
+        assert_eq!(m.last_seq.len(), SEQ_STREAMS_MAX);
+        assert_eq!(m.stats.seq_untracked, 1, "65 537 streams, one past the bound");
+        assert_eq!(m.stats.seq_gaps, 0);
+        // The stream tracked before the flood still is: 0 -> 5 is a gap.
+        let mut late = uplane(mac(9), Direction::Uplink);
+        late.seq_id = 5;
+        m.handle(&mut ctx(&mut cache, &tel), late);
+        assert_eq!((m.stats.seq_gaps, m.stats.passed), (1, 65_538));
     }
 }

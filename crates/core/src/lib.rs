@@ -25,7 +25,7 @@
 //! DPDK-vs-XDP utilization measurements of the paper's Figure 16.
 //! [`chain`] wires middleboxes behind SR-IOV virtual functions
 //! (paper Figure 8). Every map the frame path reads per frame is a
-//! [`hash::FrameMap`].
+//! [`hash::StreamMap`] (per-stream state) or a [`hash::FrameMap`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -25,7 +25,7 @@ use rb_netsim::cost::{Work, XdpPlacement};
 use rb_netsim::time::SimTime;
 
 use crate::cache::SymbolCache;
-use crate::hash::FrameMap;
+use crate::hash::{StreamKey, StreamMap};
 use crate::mgmt::{RulesCache, SharedRules};
 use crate::middlebox::{MbContext, Middlebox};
 use crate::telemetry::{counters, TelemetrySender};
@@ -156,7 +156,8 @@ impl HostStats {
 /// Most `(src, eAxC, direction)` rx streams one pipeline tracks for
 /// gaps and duplicates. The source MAC comes off the wire, so without a
 /// bound a sender cycling addresses grows the map for as long as it likes;
-/// the city scenario has 1 212 streams, and a full map is ~2 MiB.
+/// the city scenario has 1 212 streams, and a full table is 131 072 slots
+/// of 16 bytes, 2 MiB.
 const RX_SEQ_STREAMS_MAX: usize = 65_536;
 
 /// What happened to one input frame.
@@ -218,7 +219,8 @@ pub struct MbPipeline<M: Middlebox> {
     // management plane publishes a new generation — the steady-state
     // packet path never takes the shared table's lock.
     rules_cache: RulesCache,
-    seq: FrameMap<(EthernetAddress, u16), u8>,
+    // Next eCPRI sequence number per post-rule (dst, eAxC) tx stream.
+    seq: StreamMap<u8>,
     seq_mode: SeqMode,
     // Last eCPRI sequence number seen per (source MAC, eAxC, direction)
     // rx stream — the gap/duplicate detector the fault-injection suite
@@ -226,7 +228,7 @@ pub struct MbPipeline<M: Middlebox> {
     // and UL share an eAxC id but are independent flows), so the summed
     // findings are identical at every worker count even when one source
     // interleaves both directions on one eAxC.
-    rx_seq: FrameMap<(EthernetAddress, u16, Direction), u8>,
+    rx_seq: StreamMap<u8>,
     // Per-pipeline scratch, cleared and reused across process() calls so
     // the steady-state packet path performs no heap allocation: the
     // serialization buffer, the handler's emit list, the work charges of
@@ -253,9 +255,9 @@ impl<M: Middlebox> MbPipeline<M> {
             telemetry,
             rules: SharedRules::new(),
             rules_cache: RulesCache::new(),
-            seq: FrameMap::default(),
+            seq: StreamMap::default(),
             seq_mode: SeqMode::default(),
-            rx_seq: FrameMap::default(),
+            rx_seq: StreamMap::default(),
             tx_buf: Vec::new(),
             emits: Vec::new(),
             charges: Vec::new(),
@@ -320,7 +322,10 @@ impl<M: Middlebox> MbPipeline<M> {
     }
 
     fn next_seq(&mut self, dst: EthernetAddress, eaxc_raw: u16) -> u8 {
-        let counter = self.seq.entry((dst, eaxc_raw)).or_insert(0);
+        let Some(counter) = self.seq.find_or_insert_with(StreamKey::new(dst, eaxc_raw), || 0)
+        else {
+            return 0;
+        };
         let v = *counter;
         *counter = counter.wrapping_add(1);
         v
@@ -334,7 +339,8 @@ impl<M: Middlebox> MbPipeline<M> {
     /// of any further stream are counted in [`HostStats::seq_untracked`]
     /// instead; the tracked ones are unaffected.
     fn observe_seq(&mut self, src: EthernetAddress, eaxc_raw: u16, dir: Direction, seq: u8) {
-        match self.rx_seq.get_mut(&(src, eaxc_raw, dir)) {
+        let key = StreamKey::directed(src, eaxc_raw, dir);
+        match self.rx_seq.find_mut(key) {
             Some(last) => match ecpri::seq_step(*last, seq) {
                 SeqStep::Next => *last = seq,
                 SeqStep::Ahead { skipped } => {
@@ -345,7 +351,7 @@ impl<M: Middlebox> MbPipeline<M> {
             },
             None => {
                 if self.rx_seq.len() < RX_SEQ_STREAMS_MAX {
-                    self.rx_seq.insert((src, eaxc_raw, dir), seq);
+                    self.rx_seq.insert(key, seq);
                 } else {
                     counters::bump(&mut self.stats.seq_untracked);
                 }
@@ -506,6 +512,7 @@ fn looks_like_ecpri(frame: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::FrameMap;
     use crate::middlebox::Passthrough;
     use rb_fronthaul::bfp::CompressionMethod;
     use rb_fronthaul::cplane::{CPlaneRepr, SectionFields};
@@ -521,13 +528,17 @@ mod tests {
     }
 
     fn cplane_bytes_port(dst: EthernetAddress, seq: u8, port: u8) -> Vec<u8> {
+        cplane_bytes_dir(dst, seq, port, Direction::Downlink)
+    }
+
+    fn cplane_bytes_dir(dst: EthernetAddress, seq: u8, port: u8, dir: Direction) -> Vec<u8> {
         FhMessage::new(
             mac(1),
             dst,
             Eaxc::port(port),
             seq,
             Body::CPlane(CPlaneRepr::single(
-                Direction::Downlink,
+                dir,
                 SymbolId::ZERO,
                 CompressionMethod::BFP9,
                 SectionFields::data(0, 0, 10, 1),
@@ -628,6 +639,22 @@ mod tests {
         // establishes a new counter without findings.
         p.process(SimTime(0), &cplane_bytes_port(mac(10), 200, 4), &mut sink);
         assert_eq!((p.stats.seq_gaps, p.stats.seq_dups), (3, 2));
+    }
+
+    #[test]
+    fn directions_of_one_eaxc_are_separate_rx_streams() {
+        // One source interleaves DL and UL C-plane on one eAxC, each
+        // direction counting from its own start: the rx key must keep the
+        // direction, or every frame reads as a jump of the other stream.
+        let mut p = MbPipeline::new(Passthrough::new("pt", mac(10), mac(20)), mac(10));
+        let mut sink = |_: &[u8]| {};
+        for k in 0..8u8 {
+            p.process(SimTime(0), &cplane_bytes_dir(mac(10), k, 0, Direction::Downlink), &mut sink);
+            let ul = k.wrapping_add(100);
+            p.process(SimTime(0), &cplane_bytes_dir(mac(10), ul, 0, Direction::Uplink), &mut sink);
+        }
+        assert_eq!((p.stats.seq_gaps, p.stats.seq_dups), (0, 0));
+        assert_eq!(p.rx_seq.len(), 2, "one stream per direction");
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! reference; whichever way the pipeline serializes a replica — in full or
 //! by rewriting the headers over its sibling's frame — and whether the sink
 //! copies the last frame or swaps it out, the bytes are those of a deep
-//! copy serialized on its own.
+//! copy serialized on its own; a stream table answers every lookup as an
+//! ordered map would.
 
 // Test code is exempt from the crate's panic-vector denies.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 
 use rb_core::actions;
 use rb_core::cache::{CacheKey, Plane, SymbolCache};
+use rb_core::hash::{StreamKey, StreamMap};
 use rb_core::mgmt::{ForwardingTable, Match, Rule, RuleAction};
 use rb_core::middlebox::{MbContext, Middlebox, Passthrough};
 use rb_core::pipeline::{Emit, MbPipeline, SeqMode};
@@ -396,6 +398,57 @@ fn cache_respects_capacity_and_accounts_evictions() {
 #[test]
 fn cache_of_one_slot_accounts_for_a_key_evicted_and_reinserted() {
     cache_accounts_for(1, &[(0, 7), (0, 0), (0, 7)]);
+}
+
+/// A key from a pool of 48 MACs × 4 eAxC ids × 3 tags (no direction,
+/// downlink, uplink): small enough that keys recur, and that some differ
+/// only in the tag; large enough to take the table through several
+/// doublings (16 slots at first, 1 024 for all 576 keys).
+fn arb_stream_key(g: &mut Gen) -> StreamKey {
+    let mac = EthernetAddress::new(2, 0, 0, 0, g.range(0..2), g.range(0..24));
+    let eaxc = g.range(0u16..4) * 0x111;
+    match g.below(3) {
+        0 => StreamKey::new(mac, eaxc),
+        1 => StreamKey::directed(mac, eaxc, Direction::Downlink),
+        _ => StreamKey::directed(mac, eaxc, Direction::Uplink),
+    }
+}
+
+#[test]
+fn stream_map_agrees_with_an_ordered_map() {
+    check(64, |g| {
+        let mut map = StreamMap::default();
+        let mut model = std::collections::BTreeMap::new();
+        for step in 0..g.range(1u32..800) {
+            let key = arb_stream_key(g);
+            match g.below(4) {
+                0 => assert_eq!(map.insert(key, step), model.insert(key, step), "insert {key:?}"),
+                1 => assert_eq!(map.find(key), model.get(&key), "find {key:?}"),
+                2 => {
+                    if let Some(v) = map.find_mut(key) {
+                        *v = v.wrapping_mul(3);
+                    }
+                    if let Some(v) = model.get_mut(&key) {
+                        *v = v.wrapping_mul(3);
+                    }
+                    assert_eq!(map.find(key), model.get(&key), "find_mut {key:?}");
+                }
+                _ => {
+                    let got = map.find_or_insert_with(key, || step).map(|v| *v);
+                    assert_eq!(got, Some(*model.entry(key).or_insert(step)), "or-insert {key:?}");
+                }
+            }
+            assert_eq!(map.len(), model.len());
+        }
+        let mut values: Vec<u32> = map.values().copied().collect();
+        values.sort_unstable();
+        let mut want: Vec<u32> = model.values().copied().collect();
+        want.sort_unstable();
+        assert_eq!(values, want, "values");
+        for key in model.keys() {
+            assert_eq!(map.find(*key), model.get(key), "after the run: {key:?}");
+        }
+    });
 }
 
 #[test]

@@ -216,11 +216,41 @@ impl<T> Drop for ArrayQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::ArrayQueue;
+    use std::sync::mpsc::{self, RecvTimeoutError};
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// Values pushed by the threaded tests: Miri interprets every atomic
     /// step, so it runs a few hundred.
     const N: u64 = if cfg!(miri) { 300 } else { 200_000 };
+
+    /// How long a test body may run. A broken stamp or lap step makes
+    /// `push` or `pop` spin forever, so each body runs on a thread of its
+    /// own and a hang fails here instead of stalling the suite. Natively
+    /// the slowest body takes well under a second. Miri runs isolated, on
+    /// a clock that advances with the instructions it interprets, and its
+    /// bodies push 300 values, not 200 000.
+    const DEADLINE: Duration = Duration::from_secs(if cfg!(miri) { 5 } else { 20 });
+
+    /// Run `body` on a thread of its own and fail unless it finishes within
+    /// [`DEADLINE`]; a panic in `body` is re-raised here.
+    fn finishes_within_deadline(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            body();
+            // The receiver is gone only if the deadline already failed.
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(DEADLINE) {
+            Ok(()) => runner.join().unwrap(),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().unwrap_err())
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("the test body did not finish within {DEADLINE:?}: push or pop spins")
+            }
+        }
+    }
 
     /// Push `v`, yielding while the queue is full.
     fn push_spin(q: &ArrayQueue<u64>, mut v: u64) {
@@ -232,6 +262,10 @@ mod tests {
 
     #[test]
     fn fifo_full_and_empty() {
+        finishes_within_deadline(fifo_full_and_empty_body);
+    }
+
+    fn fifo_full_and_empty_body() {
         let q = ArrayQueue::new(3);
         assert!(q.is_empty());
         for k in 0..3 {
@@ -261,6 +295,10 @@ mod tests {
 
     #[test]
     fn two_threads_lose_and_duplicate_nothing() {
+        finishes_within_deadline(two_threads_lose_and_duplicate_nothing_body);
+    }
+
+    fn two_threads_lose_and_duplicate_nothing_body() {
         let q = Arc::new(ArrayQueue::new(64));
         let producer = {
             let q = Arc::clone(&q);
@@ -285,6 +323,10 @@ mod tests {
     /// comes out exactly once, and each popper sees it in push order.
     #[test]
     fn a_shedding_pusher_and_a_popper_each_see_every_value_once_in_order() {
+        finishes_within_deadline(a_shedding_pusher_and_a_popper_body);
+    }
+
+    fn a_shedding_pusher_and_a_popper_body() {
         let q = Arc::new(ArrayQueue::new(8));
         let producer = {
             let q = Arc::clone(&q);

@@ -20,7 +20,7 @@
 use rb_apps::das::{Das, DasConfig, DasStats};
 use rb_apps::dmimo::{Dmimo, DmimoConfig, PhysicalRu};
 use rb_apps::rushare::{RuShare, RuShareConfig, SharedDu};
-use rb_core::hash::FrameMap;
+use rb_core::hash::{FrameMap, StreamKey, StreamMap};
 use rb_core::middlebox::{MbContext, Middlebox};
 use rb_core::{actions, chain};
 use rb_fronthaul::eaxc::EaxcMapping;
@@ -123,8 +123,10 @@ pub enum SiteMb {
 /// The whole generated city as one runtime-hostable middlebox.
 pub struct CityMb {
     sites: Vec<SiteMb>,
-    by_src_ru: FrameMap<EthernetAddress, usize>,
-    by_raw: FrameMap<u16, usize>,
+    // Site per radio MAC (keyed with eAxC 0) and per stream raw (keyed with
+    // the zero MAC).
+    by_src_ru: StreamMap<usize>,
+    by_raw: StreamMap<usize>,
     // Per-UE raw: (first round, serving site) segments, sorted.
     ue_routes: FrameMap<u16, Vec<(u32, usize)>>,
     mapping: EaxcMapping,
@@ -137,14 +139,14 @@ impl CityMb {
     pub fn build(spec: &ScenarioSpec, topo: &Topology, schedule: &EventSchedule) -> CityMb {
         let gw = topo.gateway;
         let mut sites = Vec::with_capacity(topo.sites.len());
-        let mut by_src_ru = FrameMap::default();
-        let mut by_raw = FrameMap::default();
+        let mut by_src_ru = StreamMap::default();
+        let mut by_raw = StreamMap::default();
         for site in &topo.sites {
             for ru in &site.rus {
-                by_src_ru.insert(*ru, site.id);
+                by_src_ru.insert(ru_key(*ru), site.id);
             }
             for s in &site.streams {
-                by_raw.insert(s.raw, site.id);
+                by_raw.insert(raw_key(s.raw), site.id);
             }
             let du = topo.dus[site.dus[0]];
             let name = format!("site{}", site.id);
@@ -161,7 +163,7 @@ impl CityMb {
                     // virtual ports and uplink local ports share it.
                     let block = site.streams[0].raw & !0xF;
                     for k in 0..16 {
-                        by_raw.insert(block | k, site.id);
+                        by_raw.insert(raw_key(block | k), site.id);
                     }
                     SiteMb::Dmimo(Dmimo::new(
                         name,
@@ -246,11 +248,11 @@ impl CityMb {
     }
 
     fn route_of(&self, msg: &FhMessage) -> Option<usize> {
-        if let Some(&s) = self.by_src_ru.get(&msg.eth.src) {
+        if let Some(&s) = self.by_src_ru.find(ru_key(msg.eth.src)) {
             return Some(s);
         }
         let raw = msg.eaxc.pack(&self.mapping);
-        if let Some(&s) = self.by_raw.get(&raw) {
+        if let Some(&s) = self.by_raw.find(raw_key(raw)) {
             return Some(s);
         }
         let segs = self.ue_routes.get(&raw)?;
@@ -296,6 +298,16 @@ impl Middlebox for CityMb {
     fn on_uplane(&mut self, ctx: &mut MbContext<'_>, msg: FhMessage, out: &mut Vec<FhMessage>) {
         self.dispatch(ctx, msg, out);
     }
+}
+
+/// `CityMb::by_src_ru`'s key for a radio.
+fn ru_key(mac: EthernetAddress) -> StreamKey {
+    StreamKey::new(mac, 0)
+}
+
+/// `CityMb::by_raw`'s key for a stream.
+fn raw_key(raw: u16) -> StreamKey {
+    StreamKey::new(EthernetAddress([0; 6]), raw)
 }
 
 fn shared_cfg(
